@@ -16,10 +16,23 @@ from __future__ import annotations
 
 from repro.dag.graph import Dag, DagNode
 
-try:  # numpy is optional at this layer; see weighted_descendant_sum
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _np = None
+#: numpy once imported, False once its import failed, None before the
+#: first :meth:`ReachabilityMap.weighted_descendant_sum` call.  numpy is
+#: optional and imported lazily, so importing the package never loads it.
+_numpy = None
+
+
+def _load_numpy():
+    """numpy, or None when it is not installed (looked up once)."""
+    global _numpy
+    if _numpy is None:
+        try:
+            import numpy
+        except ImportError:
+            _numpy = False
+        else:
+            _numpy = numpy
+    return _numpy or None
 
 
 class ReachabilityMap:
@@ -103,13 +116,14 @@ class ReachabilityMap:
         bits = self._maps[a] & ~(1 << a)
         if not bits:
             return 0
-        if _np is not None:
+        np = _load_numpy()
+        if np is not None:
             raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-            mask = _np.unpackbits(
-                _np.frombuffer(raw, dtype=_np.uint8), bitorder="little")
+            mask = np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8), bitorder="little")
             n = min(mask.size, len(weights))
-            w = _np.asarray(weights[:n], dtype=_np.int64)
-            return int(mask[:n].astype(_np.int64) @ w)
+            w = np.asarray(weights[:n], dtype=np.int64)
+            return int(mask[:n].astype(np.int64) @ w)
         total = 0
         while bits:
             low = bits & -bits

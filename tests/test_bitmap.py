@@ -1,7 +1,12 @@
 """Tests for reachability bitmaps."""
 
+import os
+import subprocess
+import sys
+
 from repro.asm.parser import parse_instruction_text
 from repro.dep import DepType
+from repro.dag import bitmap
 from repro.dag.bitmap import (
     ReachabilityMap,
     ancestor_maps,
@@ -107,7 +112,7 @@ class TestReachabilityMap:
         edge.grow_to(65)  # map for id 64 spans 2 words
         assert edge.words_touched - before == 2
 
-    def test_weighted_descendant_sum(self):
+    def test_weighted_descendant_sum(self, monkeypatch):
         rmap = ReachabilityMap(130)
         rmap.absorb(0, 2)
         rmap.absorb(0, 129)
@@ -115,9 +120,26 @@ class TestReachabilityMap:
         assert rmap.weighted_descendant_sum(0, weights) == 2 + 129
         assert rmap.weighted_descendant_sum(1, weights) == 0
         # Matches the per-bit enumeration it replaced.
-        for a in (0, 1, 2, 129):
-            assert rmap.weighted_descendant_sum(a, weights) == \
-                sum(weights[d] for d in rmap.descendants(a))
+        expected = [sum(weights[d] for d in rmap.descendants(a))
+                    for a in (0, 1, 2, 129)]
+        assert [rmap.weighted_descendant_sum(a, weights)
+                for a in (0, 1, 2, 129)] == expected
+        # The pure-Python fallback, as on a host without numpy.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(bitmap, "_numpy", None)
+        assert [rmap.weighted_descendant_sum(a, weights)
+                for a in (0, 1, 2, 129)] == expected
+        assert bitmap._numpy is False
+
+    def test_importing_the_cli_does_not_load_numpy(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert probe.stdout.strip() == "False"
 
 
 class TestComputeReachability:

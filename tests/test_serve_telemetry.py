@@ -184,9 +184,9 @@ class TestHttpEndpoint:
 
 
 class TestHealthDetails:
-    """S2: health reports the columnar flag and per-thread caches."""
+    """S2: health reports per-thread caches."""
 
-    def test_columnar_flag_and_cache_threads(self, server):
+    def test_cache_threads(self, server):
         _run_one(server)
         client = _Client(server.address)
         try:
@@ -194,7 +194,6 @@ class TestHealthDetails:
             health = client.recv()
         finally:
             client.close()
-        assert health["columnar"] is False
         threads = health["cache_threads"]
         assert threads, "warm caches should exist after a request"
         for row in threads:
