@@ -37,7 +37,6 @@ MODULES = [
     "repro.heuristics.passes", "repro.heuristics.stall",
     "repro.heuristics.instruction_class", "repro.heuristics.uncovering",
     "repro.heuristics.structural", "repro.heuristics.register_usage",
-    "repro.heuristics.incremental",
     "repro.scheduling.timing", "repro.scheduling.priority",
     "repro.scheduling.list_scheduler", "repro.scheduling.backward_timed",
     "repro.scheduling.fixup", "repro.scheduling.delay_slots",

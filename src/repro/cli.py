@@ -510,11 +510,9 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     tracer, registry = _obs_from_args(args)
     chain = (tuple(p.strip() for p in args.chain.split(",") if p.strip())
              if args.chain else None)
-    overload = None
-    if not args.no_overload:
-        overload = OverloadConfig(
-            rss_budget_mb=args.rss_budget_mb,
-            priority_tenants=tuple(args.priority_tenant or ()))
+    overload = OverloadConfig(
+        rss_budget_mb=args.rss_budget_mb,
+        priority_tenants=tuple(args.priority_tenant or ()))
     config = ServeConfig(
         address=args.address,
         workers=args.workers,
@@ -530,7 +528,6 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         drain_force_s=args.drain_force,
         cache_entries=args.cache_entries,
         chain=chain,
-        breaker=args.breaker,
         mem_limit_mb=args.worker_mem_mb,
         quarantine_dir=args.quarantine_dir,
         wal_dir=args.wal_dir,
@@ -1181,10 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dependence cache")
     serve.add_argument("--chain", default=None, metavar="B1,B2,...",
                        help="default builder fallback chain")
-    serve.add_argument("--breaker", action="store_true",
-                       help="share a per-builder circuit breaker "
-                            "across requests (outcome-changing, "
-                            "opt-in)")
     serve.add_argument("--worker-mem-mb", type=int, default=None,
                        metavar="MB",
                        help="per-worker address-space ceiling for "
@@ -1206,10 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "Prometheus text exposition format, "
                             "GET /healthz) at HOST:PORT or PORT; "
                             "implies a live metrics registry")
-    serve.add_argument("--no-overload", action="store_true",
-                       help="disable the adaptive overload ladder "
-                            "(pressure sentinel + degradation "
-                            "levels; see docs/overload.md)")
     serve.add_argument("--rss-budget-mb", type=float, default=None,
                        metavar="MB",
                        help="RSS pressure budget for the overload "

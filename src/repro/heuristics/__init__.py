@@ -17,11 +17,6 @@ implementation.
 
 from repro.heuristics.base import Category, Heuristic, PassKind
 from repro.heuristics.catalog import CATALOG, catalog, heuristic_by_key
-from repro.heuristics.incremental import (
-    annotate,
-    apply_inherited_incremental,
-    update_after_arc,
-)
 from repro.heuristics.passes import (
     backward_pass,
     backward_pass_levels,
@@ -37,9 +32,6 @@ __all__ = [
     "CATALOG",
     "catalog",
     "heuristic_by_key",
-    "annotate",
-    "apply_inherited_incremental",
-    "update_after_arc",
     "forward_pass",
     "backward_pass",
     "backward_pass_levels",

@@ -134,7 +134,6 @@ def backward_pass(dag: Dag, descendants: bool = False,
     if require_est and all(n.est == 0 for n in dag.nodes):
         forward_pass(dag)
     critical = _critical_length(dag)
-    dag.critical_length = critical  # for incremental updates
     rmap = ReachabilityMap(len(dag)) if descendants else None
     exec_sums = ([n.execution_time for n in dag.nodes]
                  if descendants else None)
@@ -156,7 +155,6 @@ def backward_pass_levels(dag: Dag, descendants: bool = False,
         forward_pass(dag)
     levels = compute_levels(dag)
     critical = _critical_length(dag)
-    dag.critical_length = critical  # for incremental updates
     rmap = ReachabilityMap(len(dag)) if descendants else None
     exec_sums = ([n.execution_time for n in dag.nodes]
                  if descendants else None)

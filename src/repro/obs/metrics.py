@@ -16,8 +16,8 @@ sections:
   configuration: wall-clock seconds, pairwise-cache hit/miss counts
   (each parallel worker warms its own cache, so hit totals shift with
   the worker count), and the supervised pool's resilience counters
-  (crashes, retries, quarantines, breaker trips -- environment
-  events, not program properties).
+  (crashes, retries, quarantines -- environment events, not program
+  properties).
 
 Registries cross the batch runner's process boundary as plain dicts:
 a worker records per-block metrics into its own registry, ships
@@ -548,29 +548,9 @@ def record_verify_check(metrics: MetricsRegistry | None, check: str,
         1, check=check, result="pass" if passed else "fail")
 
 
-def record_incremental_repair(metrics: MetricsRegistry | None,
-                              visited: int, full_nodes: int) -> None:
-    """Record one incremental heuristic repair's frontier size.
-
-    Args:
-        metrics: the registry (None = off).
-        visited: nodes the frontier worklists actually recomputed.
-        full_nodes: nodes the replaced full passes would have visited
-            (2x the DAG's real-node count: forward + backward).
-    """
-    if metrics is None:
-        return
-    metrics.counter("repro_incremental_nodes_visited_total",
-                    "Nodes recomputed by incremental heuristic "
-                    "repair.").inc(visited)
-    metrics.counter("repro_incremental_full_pass_nodes_total",
-                    "Nodes a full forward+backward re-pass would "
-                    "have visited instead.").inc(full_nodes)
-
-
 # -- resilience (supervised pool) ------------------------------------------
 #
-# All volatile: crashes, retries, and breaker trips depend on the
+# All volatile: crashes, retries, and quarantines depend on the
 # execution environment (signals, memory pressure, injected chaos,
 # worker count), never on the input program alone.  The stable section
 # must stay byte-identical between a clean ``--jobs 1`` and
@@ -717,32 +697,6 @@ def record_deadline(metrics: MetricsRegistry | None,
                     "Deadline-carrying requests by outcome.",
                     labels=("result",), volatile=True).inc(
         1, result="met" if met else "missed")
-
-
-def record_breaker_transition(metrics: MetricsRegistry | None,
-                              builder: str, to_state: str,
-                              state_code: int) -> None:
-    """Record one circuit-breaker state transition.
-
-    Args:
-        metrics: the registry (None = off).
-        builder: chain entry whose breaker moved.
-        to_state: "closed", "open", or "half-open".
-        state_code: numeric encoding for the state gauge (0 closed,
-            1 half-open, 2 open).
-    """
-    if metrics is None:
-        return
-    metrics.counter("repro_breaker_transitions_total",
-                    "Circuit-breaker state transitions by builder "
-                    "and target state.",
-                    labels=("builder", "state"), volatile=True).inc(
-        1, builder=builder, state=to_state)
-    metrics.gauge("repro_breaker_state",
-                  "Current breaker state per builder (0 closed, "
-                  "1 half-open, 2 open).",
-                  labels=("builder",), volatile=True,
-                  agg="last").set(state_code, builder=builder)
 
 
 def record_wal_recovery(metrics: MetricsRegistry | None,

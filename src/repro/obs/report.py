@@ -12,7 +12,7 @@ their shape from the artifacts a run leaves behind:
 * a **metrics snapshot** (:func:`repro.obs.metrics.write_metrics`
   JSON) supplies the exact work counters: comparisons, table probes,
   alias checks, bitmap operations and words touched, block structure,
-  cache and incremental-repair activity.
+  and cache activity.
 
 Either input works alone; together the report is complete.  Output is
 a plain JSON-ready dict (:func:`report_from`) and a Markdown rendering
@@ -246,7 +246,7 @@ def _degradations(blocks: list[dict] | None) -> list[dict]:
 def _resilience(blocks: list[dict] | None,
                 snapshot: dict | None) -> dict | None:
     """Supervised-pool resilience summary: block accounting, crashes,
-    retries, quarantines, breaker activity.
+    retries, quarantines.
 
     Returns None when there is nothing to report (no quarantined
     records in the journal and no resilience metrics in the
@@ -257,13 +257,11 @@ def _resilience(blocks: list[dict] | None,
     restarts = _scalar(snapshot, "repro_worker_restarts_total")
     quarantined_metric = _scalar(snapshot,
                                  "repro_quarantined_blocks_total")
-    breaker_values = _values(snapshot,
-                             "repro_breaker_transitions_total")
     quarantined_records = [b for b in blocks or []
                            if b.get("type") == "quarantined"]
     if not quarantined_records and not crash_values \
             and retries is None and restarts is None \
-            and quarantined_metric is None and not breaker_values:
+            and quarantined_metric is None:
         return None
     section: dict = {
         "worker crashes": {
@@ -274,7 +272,6 @@ def _resilience(blocks: list[dict] | None,
         "quarantined blocks": (quarantined_metric
                                if quarantined_metric is not None
                                else len(quarantined_records)),
-        "breaker transitions": dict(sorted(breaker_values.items())),
         "quarantines": [
             {"index": b.get("index"), "label": b.get("label"),
              "attempts": len(b.get("attempts", [])),
@@ -486,9 +483,6 @@ def render_markdown(report: dict) -> str:
                  resilience.get("quarantined blocks")]]
         rows += [[f"crashes ({kind})", count]
                  for kind, count in crashes.items()]
-        rows += [[f"breaker ({series})", count]
-                 for series, count in
-                 resilience.get("breaker transitions", {}).items()]
         lines += _md_table(["quantity", "value"], rows)
         lines.append("")
         quarantines = resilience.get("quarantines", [])

@@ -7,8 +7,8 @@ builder fallback chains (:mod:`repro.runner.fallback`),
 checkpoint/resume journals (:mod:`repro.runner.journal`), whole-run
 aggregation with optional dependence caching and block-parallel
 execution (:mod:`repro.runner.batch`), the crash-isolated supervised
-worker pool with retry/backoff, quarantine, and per-builder circuit
-breakers (:mod:`repro.runner.supervisor`), the seeded fault-injection
+worker pool with retry/backoff and quarantine
+(:mod:`repro.runner.supervisor`), the seeded fault-injection
 chaos harness that proves the pool's guarantees
 (:mod:`repro.runner.chaos`), the reproducible performance benchmark
 (:mod:`repro.runner.bench`), and the differential fuzz harness that
@@ -38,7 +38,6 @@ from repro.runner.fuzz import (
 )
 from repro.runner.journal import RunJournal, run_fingerprint
 from repro.runner.supervisor import (
-    CircuitBreaker,
     RetryPolicy,
     SupervisedPool,
     SupervisorStats,
@@ -55,7 +54,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "check_block",
-    "CircuitBreaker",
     "DEFAULT_CHAIN",
     "fuzz",
     "FuzzFailure",

@@ -48,7 +48,7 @@ from repro.runner.fallback import (
     schedule_block_resilient,
 )
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import CircuitBreaker, RetryPolicy, SupervisedPool
+from repro.runner.supervisor import RetryPolicy, SupervisedPool
 from repro.runner.watchdog import Budget
 
 
@@ -150,7 +150,6 @@ def run_batch(blocks: Sequence[BasicBlock],
               chaos: object | None = None,
               task_timeout: float | None = None,
               quarantine_dir: str | None = None,
-              breaker: CircuitBreaker | None = None,
               mem_limit_mb: int | None = None,
               ) -> BatchResult:
     """Run the resilient scheduling pipeline over ``blocks``.
@@ -211,12 +210,6 @@ def run_batch(blocks: Sequence[BasicBlock],
             presumed hung and killed (None = wait forever).
         quarantine_dir: directory for quarantine reproducer ``.s``
             files (None = quarantine without writing files).
-        breaker: optional per-builder
-            :class:`~repro.runner.supervisor.CircuitBreaker`.
-            Outcome-changing (an open breaker skips chain entries),
-            so opt-in.  Serial runs thread it straight through the
-            fallback chain; supervised runs apply it parent-side and
-            forward skip lists to workers.
         mem_limit_mb: opt-in per-worker address-space ceiling in MiB
             (``jobs > 1`` only; see
             :class:`~repro.runner.supervisor.SupervisedPool`).  OOM
@@ -258,7 +251,7 @@ def run_batch(blocks: Sequence[BasicBlock],
                 verify, cache is not None, bool(tracer),
                 metrics is not None, jobs, retry=retry, chaos=chaos,
                 task_timeout=task_timeout,
-                quarantine_dir=quarantine_dir, breaker=breaker,
+                quarantine_dir=quarantine_dir,
                 tracer=tracer, metrics=metrics,
                 mem_limit_mb=mem_limit_mb)
     finished = False
@@ -296,7 +289,7 @@ def run_batch(blocks: Sequence[BasicBlock],
                     outcome = schedule_block_resilient(
                         block, machine, chain_factories, budget=budget,
                         priority=priority, verify=verify, cache=cache,
-                        tracer=tracer, metrics=metrics, breaker=breaker)
+                        tracer=tracer, metrics=metrics)
                     if journal is not None:
                         journal.append(outcome)
                 if metrics is not None:

@@ -10,9 +10,7 @@ optimizes and writes one JSON document (``--out``, default
   touched).  The counters are exactly reproducible; wall times are
   reported as the minimum over ``repeats`` runs.
 * **heuristics** -- the intermediate-pass drivers (reverse walk vs.
-  level algorithm, the paper's conclusion-4 comparison) and the
-  incremental frontier repair of
-  :mod:`repro.heuristics.incremental` against a full re-pass.
+  level algorithm, the paper's conclusion-4 comparison).
 * **batch** -- the section 6 resilient pipeline end to end (verify
   on), three ways: baseline, with the shared
   :class:`~repro.dag.builders.cache.PairwiseCache`, and
@@ -45,7 +43,6 @@ from repro.cfg import apply_window, partition_blocks
 from repro.dag.builders import PairwiseCache, TableForwardBuilder
 from repro.dag.builders.base import BuildStats
 from repro.errors import ReproError
-from repro.heuristics.incremental import annotate, update_after_arc
 from repro.heuristics.passes import backward_pass, backward_pass_levels
 from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry
@@ -215,7 +212,7 @@ def _bench_builders(blocks, machine: MachineModel, repeats: int) -> dict:
 
 def _bench_heuristics(blocks, machine: MachineModel,
                       repeats: int) -> dict:
-    """Intermediate-pass drivers and the incremental repair."""
+    """Intermediate-pass drivers: reverse walk vs. level algorithm."""
     builder_cls = BUILDER_CLASSES["table-forward"]
     dags = [builder_cls(machine).build(b).dag for b in blocks]
 
@@ -229,39 +226,9 @@ def _bench_heuristics(blocks, machine: MachineModel,
 
     reverse_s, _ = _best_of(repeats, walk)
     levels_s, _ = _best_of(repeats, levels)
-
-    # Incremental repair: re-assert one existing arc per DAG (a merge,
-    # so the structure is unchanged) and repair the frontier, against
-    # re-running both full passes -- the per-arc cost that
-    # apply_inherited_incremental pays versus what it replaced.
-    targets = []
-    for dag in dags:
-        annotate(dag)
-        for node in dag.real_nodes():
-            if node.out_arcs:
-                arc = node.out_arcs[0]
-                if not arc.child.is_dummy:
-                    targets.append((dag, node, arc.child))
-                    break
-
-    def incremental() -> None:
-        for dag, parent, child in targets:
-            update_after_arc(dag, parent, child)
-
-    def full_repass() -> None:
-        for dag, _, _ in targets:
-            annotate(dag)
-
-    incremental_s, _ = _best_of(repeats, incremental)
-    full_s, _ = _best_of(repeats, full_repass)
     return {
         "reverse_walk_s": round(reverse_s, 6),
         "levels_s": round(levels_s, 6),
-        "incremental": {
-            "arcs_repaired": len(targets),
-            "incremental_s": round(incremental_s, 6),
-            "full_repass_s": round(full_s, 6),
-        },
     }
 
 
@@ -417,9 +384,13 @@ def _flatten_counters(doc: dict) -> dict:
     for name, row in sorted(doc.get("builders", {}).items()):
         for counter in _WORK_COUNTERS + ("bitmap_words_touched",):
             out[f"builders.{name}.{counter}"] = row.get(counter)
-    heur = doc.get("heuristics", {})
-    out["heuristics.incremental.arcs_repaired"] = \
-        heur.get("incremental", {}).get("arcs_repaired")
+    # Documents written before the incremental heuristic repair was
+    # removed carry this counter; comparing against one reports the
+    # removal as a one-sided mismatch.
+    incremental = doc.get("heuristics", {}).get("incremental")
+    if incremental is not None:
+        out["heuristics.incremental.arcs_repaired"] = \
+            incremental.get("arcs_repaired")
     workload = doc.get("workload", {})
     out["workload.n_blocks"] = workload.get("n_blocks")
     out["workload.n_instructions"] = workload.get("n_instructions")

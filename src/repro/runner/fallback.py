@@ -235,8 +235,6 @@ def schedule_block_resilient(
         cache: PairwiseCache | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        breaker: object | None = None,
-        skip_builders: Sequence[str] = (),
         on_attempt: Callable[[str], None] | None = None) -> BlockOutcome:
     """Schedule one block, falling back through the builder chain.
 
@@ -271,16 +269,6 @@ def schedule_block_resilient(
             level aggregates (attempt/degradation counts, makespans)
             are recorded by :func:`repro.runner.batch.run_batch`,
             which also covers journal-replayed blocks.
-        breaker: optional per-builder circuit breaker
-            (:class:`~repro.runner.supervisor.CircuitBreaker`).  A
-            chain entry whose breaker is open is skipped (recorded as
-            a ``breaker-open`` attempt); watchdog timeouts feed the
-            breaker's failure count and accepted attempts close it.
-            Outcome-changing by design, so opt-in.
-        skip_builders: chain entries to skip up front, recorded as
-            ``breaker-open`` attempts -- how the supervised pool
-            forwards its parent-side breaker verdicts into a worker
-            process that cannot share the breaker object.
         on_attempt: per-attempt heartbeat callback invoked with the
             chain entry's name just before the attempt starts.  The
             supervised pool uses it to attribute a worker crash to the
@@ -346,12 +334,6 @@ def schedule_block_resilient(
     with tracer.span("block", index=block.index, label=block.label,
                      size=len(block.instructions)) as block_attrs:
         for name, factory in chain:
-            if name in skip_builders or (
-                    breaker is not None and not breaker.allow(name)):
-                tracer.event("breaker-skip", builder=name)
-                attempts.append(Attempt(name, "breaker-open",
-                                        "circuit breaker open"))
-                continue
             if on_attempt is not None:
                 on_attempt(name)
             # A fresh budgeted counter per attempt: a failed attempt's
@@ -387,8 +369,6 @@ def schedule_block_resilient(
                              limit=getattr(exc, "limit", None))
                 attempts.append(Attempt(name, "timeout", str(exc),
                                         work=stats.work))
-                if breaker is not None:
-                    breaker.record_failure(name)
                 continue
             except ReproError as exc:
                 tracer.event("fallback", builder=name,
@@ -398,8 +378,6 @@ def schedule_block_resilient(
                     work=stats.work))
                 continue
             attempts.append(Attempt(name, "ok", work=stats.work))
-            if breaker is not None:
-                breaker.record_success(name)
             rmap = getattr(builder, "reachability", None)
             record_build(metrics, name, stats,
                          rmap.words_touched if rmap is not None else 0)

@@ -24,10 +24,6 @@ treats worker death as a recoverable, observable event instead:
   delta-debugging loop), and the journal records a ``quarantined``
   line so ``--resume`` replays the verdict instead of re-triggering
   the crash.
-* **circuit breaker** -- repeated crashes/timeouts attributed to one
-  builder open that builder's breaker (:class:`CircuitBreaker`):
-  subsequent blocks route straight to the next chain entry until a
-  half-open probe succeeds.
 
 Healthy blocks are unaffected: their outcomes are computed by the same
 worker-side code as before and consumed in program order, so journal
@@ -52,7 +48,6 @@ from repro.errors import ReproError
 from repro.machine.model import MachineModel
 from repro.obs.metrics import (
     MetricsRegistry,
-    record_breaker_transition,
     record_cache,
     record_quarantine,
     record_retry,
@@ -120,7 +115,6 @@ def _init_worker(machine: MachineModel, chain_names: tuple[str, ...],
 
 
 def _run_block(block: BasicBlock,
-               skip_builders: Sequence[str] = (),
                on_attempt: Callable[[str], None] | None = None) -> tuple[
         dict, tuple[int, ...] | None, BlockDagStats | None,
         tuple[list[dict], list[dict]] | None]:
@@ -144,8 +138,7 @@ def _run_block(block: BasicBlock,
         block, _WORKER_STATE["machine"], _WORKER_STATE["chain"],
         budget=_WORKER_STATE["budget"],
         verify=_WORKER_STATE["verify"], cache=cache,
-        tracer=tracer, metrics=registry,
-        skip_builders=skip_builders, on_attempt=on_attempt)
+        tracer=tracer, metrics=registry, on_attempt=on_attempt)
     if registry is not None and cache is not None:
         record_cache(registry, cache.hits - hits0,
                      cache.misses - misses0)
@@ -181,7 +174,7 @@ def _worker_main(conn: Connection, init_args: tuple) -> None:
         if message[0] == "stop":
             conn.close()
             return
-        _, index, block, attempt, skip, inject = message
+        _, index, block, attempt, inject = message
         try:
             conn.send(("start", index, attempt))
             if inject is not None:
@@ -207,8 +200,7 @@ def _worker_main(conn: Connection, init_args: tuple) -> None:
                            "BasicBlock"))
                 continue
             result = _run_block(
-                block, skip_builders=skip,
-                on_attempt=lambda name: conn.send(
+                block, on_attempt=lambda name: conn.send(
                     ("attempt", index, name)))
             conn.send(("done", index) + result)
         except (EOFError, OSError, BrokenPipeError):
@@ -221,7 +213,7 @@ def _worker_main(conn: Connection, init_args: tuple) -> None:
                 return
 
 
-# -- retry and breaker policies --------------------------------------------
+# -- retry policy ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -253,119 +245,6 @@ class RetryPolicy:
                    self.base_delay * (2 ** max(0, attempt - 1)))
         rng = random.Random(f"repro-retry:{self.seed}:{index}:{attempt}")
         return base * (1.0 + rng.uniform(0.0, self.jitter))
-
-
-#: circuit breaker states
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
-
-#: numeric encoding of breaker states for the state gauge
-_BREAKER_STATE_CODE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1,
-                       BREAKER_OPEN: 2}
-
-
-class CircuitBreaker:
-    """Per-builder circuit breaker layered on the fallback chain.
-
-    ``threshold`` consecutive crash/timeout failures in one builder
-    open its breaker: subsequent blocks skip that chain entry (a
-    recorded ``breaker-open`` attempt) and route straight to the next
-    one, instead of burning a full watchdog budget per block on a
-    builder that is known to be misbehaving.  After ``cooldown``
-    skipped blocks the breaker goes half-open and lets exactly one
-    probe attempt through: success closes it, failure re-opens it for
-    another cooldown.
-
-    Breaker routing is outcome-changing by design (a skipped builder
-    is an attempt that never ran), so it is opt-in everywhere; with
-    ``jobs > 1`` the open/close timing additionally depends on
-    completion order and is therefore load-sensitive.
-    """
-
-    def __init__(self, threshold: int = 3, cooldown: int = 8,
-                 tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
-        if threshold < 1:
-            raise ReproError(
-                f"breaker threshold must be >= 1, got {threshold}")
-        if cooldown < 1:
-            raise ReproError(
-                f"breaker cooldown must be >= 1, got {cooldown}")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics
-        self._state: dict[str, str] = {}
-        self._consecutive: dict[str, int] = {}
-        self._cooldown_left: dict[str, int] = {}
-        self._probing: set[str] = set()
-        #: (builder, to_state) transition log, in order
-        self.transitions: list[tuple[str, str]] = []
-
-    def state(self, builder: str) -> str:
-        """The builder's current state name."""
-        return self._state.get(builder, BREAKER_CLOSED)
-
-    def _transition(self, builder: str, to_state: str) -> None:
-        self._state[builder] = to_state
-        self.transitions.append((builder, to_state))
-        self.tracer.event("breaker", builder=builder, state=to_state)
-        record_breaker_transition(self.metrics, builder, to_state,
-                                  _BREAKER_STATE_CODE[to_state])
-
-    def allow(self, builder: str) -> bool:
-        """May the next block try this builder?  (Mutates state: an
-        open breaker counts the skip against its cooldown, and the
-        call that ends the cooldown *is* the half-open probe.)"""
-        state = self.state(builder)
-        if state == BREAKER_CLOSED:
-            return True
-        if state == BREAKER_OPEN:
-            left = self._cooldown_left.get(builder, self.cooldown) - 1
-            self._cooldown_left[builder] = left
-            if left > 0:
-                return False
-            self._transition(builder, BREAKER_HALF_OPEN)
-            self._probing.add(builder)
-            return True
-        # half-open: one probe in flight at a time
-        if builder in self._probing:
-            return False
-        self._probing.add(builder)
-        return True
-
-    def record_failure(self, builder: str) -> None:
-        """A crash or watchdog timeout attributed to this builder."""
-        self._probing.discard(builder)
-        if self.state(builder) == BREAKER_HALF_OPEN:
-            self._cooldown_left[builder] = self.cooldown
-            self._transition(builder, BREAKER_OPEN)
-            return
-        count = self._consecutive.get(builder, 0) + 1
-        self._consecutive[builder] = count
-        if self.state(builder) == BREAKER_CLOSED \
-                and count >= self.threshold:
-            self._cooldown_left[builder] = self.cooldown
-            self._transition(builder, BREAKER_OPEN)
-
-    def record_success(self, builder: str) -> None:
-        """An accepted attempt on this builder."""
-        self._probing.discard(builder)
-        self._consecutive[builder] = 0
-        if self.state(builder) == BREAKER_HALF_OPEN:
-            self._transition(builder, BREAKER_CLOSED)
-
-    def observe_attempts(self, attempts: Sequence[Attempt]) -> None:
-        """Feed a completed outcome's attempt records into the breaker
-        (how the supervisor applies worker-side verdicts parent-side)."""
-        for attempt in attempts:
-            if attempt.builder in ("original-order", "worker"):
-                continue
-            if attempt.stage == "timeout":
-                self.record_failure(attempt.builder)
-            elif attempt.stage == "ok":
-                self.record_success(attempt.builder)
 
 
 # -- quarantine ------------------------------------------------------------
@@ -468,7 +347,7 @@ class _Worker:
 
 
 class SupervisedPool:
-    """Crash-isolated worker pool with retry, quarantine, and breaker.
+    """Crash-isolated worker pool with retry and quarantine.
 
     The pool is driven from :func:`repro.runner.batch.run_batch`'s
     program-order consumption loop: :meth:`result` pumps the event
@@ -498,7 +377,6 @@ class SupervisedPool:
             forever).
         quarantine_dir: directory for reproducer ``.s`` files (None =
             quarantine without writing a file).
-        breaker: optional parent-side :class:`CircuitBreaker`.
         tracer: parent tracer for supervision events (restarts,
             retries, quarantines); worker block traces are returned
             through :meth:`result` for program-order absorption.
@@ -523,19 +401,16 @@ class SupervisedPool:
                  chaos: object | None = None,
                  task_timeout: float | None = None,
                  quarantine_dir: str | None = None,
-                 breaker: CircuitBreaker | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  mem_limit_mb: int | None = None) -> None:
         self._machine = machine
-        self._chain_names = chain_names
         self._init_args = (machine, chain_names, budget, verify,
                            use_cache, trace, metrics_on, mem_limit_mb)
         self._retry = retry or RetryPolicy()
         self._chaos = chaos
         self._task_timeout = task_timeout
         self._quarantine_dir = quarantine_dir
-        self._breaker = breaker
         self._tracer = tracer or NULL_TRACER
         self._metrics = metrics
         self._blocks = {b.index: b for b in blocks}
@@ -639,15 +514,11 @@ class SupervisedPool:
             block = self._blocks[index]
             inject = (self._chaos.plan(index, attempt)
                       if self._chaos is not None else None)
-            skip: tuple[str, ...] = ()
-            if self._breaker is not None:
-                skip = tuple(name for name in self._chain_names
-                             if not self._breaker.allow(name))
             payload = None if (inject is not None
                                and inject[0] == "corrupt") else block
             try:
                 worker.conn.send(("task", index, payload, attempt,
-                                  skip, inject))
+                                  inject))
             except (OSError, BrokenPipeError):
                 # Worker died between tasks; the reaper will requeue.
                 self._queue.append((ready_at, index, attempt))
@@ -683,10 +554,6 @@ class SupervisedPool:
             return
         if kind == "done":
             _, index, record, counters, block_stats, obs = message
-            if self._breaker is not None:
-                self._breaker.observe_attempts(
-                    [Attempt.from_record(a)
-                     for a in record.get("attempts", [])])
             self._results[index] = ("done", record, counters,
                                     block_stats, obs)
             worker.task = None
@@ -704,9 +571,6 @@ class SupervisedPool:
                 # both an anonymous SIGKILL and a generic task error.
                 failure_kind = ("oom" if error.startswith("MemoryError")
                                 else "task-error")
-                if failure_kind == "oom" and builder is not None \
-                        and self._breaker is not None:
-                    self._breaker.record_failure(builder)
                 self._task_failed(index, attempt, failure_kind, error,
                                   builder=builder)
             return
@@ -742,8 +606,6 @@ class SupervisedPool:
             self._tracer.event("worker-crash", index=index, kind=kind,
                                builder=builder, attempt=attempt)
             record_worker_crash(self._metrics, kind)
-            if builder is not None and self._breaker is not None:
-                self._breaker.record_failure(builder)
             self._task_failed(index, attempt, kind, error,
                               builder=builder)
         if self._outstanding():

@@ -18,7 +18,7 @@ schedule_block_resilient` wall-clock budgets, per-thread warm
   accounting (scheduled + degraded + shed + quarantined = total).
 * :mod:`repro.serve.server` -- the asyncio daemon: unix-socket or
   localhost-TCP listener, health/readiness endpoints wired to pool
-  and breaker state, and graceful drain on SIGTERM (stop admitting,
+  and overload state, and graceful drain on SIGTERM (stop admitting,
   finish or shed in-flight blocks, exit 0).
 * :mod:`repro.serve.loadtest` -- the seeded ``repro loadtest`` client:
   p50/p99 latency, throughput, shed rate, and error-budget report

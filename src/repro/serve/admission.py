@@ -13,10 +13,9 @@ Three independent limits compose:
 
 * **rate** -- a per-tenant :class:`TokenBucket` smooths bursts; when
   empty, the rejection carries the exact time until the next token.
-* **work budget** -- a per-tenant cumulative block allowance (reusing
-  the :class:`~repro.runner.watchdog.Budget` dataclass the watchdog
-  already uses for per-block work ceilings), so one tenant cannot
-  monopolise a shared daemon even at a polite request rate.
+* **block budget** -- a per-tenant cumulative block allowance, so one
+  tenant cannot monopolise a shared daemon even at a polite request
+  rate.
 * **occupancy** -- a global bounded queue (``max_active`` running +
   ``max_queued`` waiting); when full the daemon sheds load instead of
   accepting unbounded latency.
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RequestRejected
 from repro.obs.metrics import (
@@ -40,7 +39,6 @@ from repro.obs.metrics import (
     record_queue_depth,
     record_rejection,
 )
-from repro.runner.watchdog import Budget
 from repro.serve.overload import (
     L_EMERGENCY,
     L_PRIORITIZED_SHED,
@@ -107,31 +105,29 @@ class TokenBucket:
 
 @dataclass
 class TenantState:
-    """Per-tenant admission state: rate bucket plus work budget.
+    """Per-tenant admission state: rate bucket plus block budget.
 
     Attributes:
         name: the tenant id requests carry.
         bucket: the tenant's request-rate token bucket.
-        budget: cumulative work allowance -- ``budget.max_work`` caps
-            the total *blocks* this tenant may submit over the
-            daemon's lifetime (None = unlimited).  The same dataclass
-            the per-block watchdog uses, at tenant scope.
+        max_blocks: the total blocks this tenant may submit over the
+            daemon's lifetime (None = unlimited).
         blocks_charged: blocks admitted against the budget so far.
         requests_admitted / requests_rejected: accounting counters.
     """
 
     name: str
     bucket: TokenBucket
-    budget: Budget = field(default_factory=Budget)
+    max_blocks: int | None = None
     blocks_charged: int = 0
     requests_admitted: int = 0
     requests_rejected: int = 0
 
     def budget_remaining(self) -> int | None:
-        """Blocks left in the work budget (None = unlimited)."""
-        if self.budget.max_work is None:
+        """Blocks left in the budget (None = unlimited)."""
+        if self.max_blocks is None:
             return None
-        return max(0, int(self.budget.max_work) - self.blocks_charged)
+        return max(0, self.max_blocks - self.blocks_charged)
 
 
 @dataclass
@@ -226,7 +222,7 @@ class AdmissionController:
                 name=name,
                 bucket=TokenBucket(self.tenant_rate, self.tenant_burst,
                                    clock=self._clock),
-                budget=Budget(max_work=self.tenant_max_blocks))
+                max_blocks=self.tenant_max_blocks)
             self.tenants[name] = state
         return state
 
@@ -378,7 +374,7 @@ class AdmissionController:
                 raise self._reject(
                     state, tenant, REJECT_BUDGET,
                     detail=f"{remaining} of "
-                           f"{state.budget.max_work} blocks left")
+                           f"{state.max_blocks} blocks left")
             wait = state.bucket.try_acquire()
             if wait is not None:
                 raise self._reject(state, tenant, REJECT_RATE_LIMITED,

@@ -195,10 +195,8 @@ def run_request(request: ScheduleRequest,
                 emit: Callable[[dict], None],
                 chain_names: tuple[str, ...] | None = None,
                 block_wall_s: float | None = 30.0,
-                max_work: int | None = None,
                 cache: PairwiseCache | None = None,
                 metrics: MetricsRegistry | None = None,
-                breaker: object | None = None,
                 cancelled: Callable[[], str | None] | None = None,
                 clock: Callable[[], float] = time.monotonic,
                 jobs: int = 1,
@@ -227,11 +225,9 @@ def run_request(request: ScheduleRequest,
         chain_names: builder fallback chain (request override wins).
         block_wall_s: per-block wall-clock cap, further tightened to
             the request's remaining deadline each block.
-        max_work: per-attempt construction-work budget.
         cache: dependence cache override; default is this thread's
             warm per-machine cache.
         metrics: optional registry (shed/deadline counters).
-        breaker: optional shared per-builder circuit breaker.
         cancelled: polled between blocks; returning a shed reason
             (e.g. ``"disconnect"``, ``"drain"``) sheds the remainder.
         clock: injectable monotonic clock for deterministic deadline
@@ -342,8 +338,7 @@ def run_request(request: ScheduleRequest,
                 wall = left if wall is None else min(wall, left)
             try:
                 run_batch(blocks, machine, chain=names,
-                          budget=Budget(wall_clock=wall,
-                                        max_work=max_work),
+                          budget=Budget(wall_clock=wall),
                           verify=request.verify, jobs=jobs,
                           metrics=metrics, on_block=on_block,
                           tracer=tracer,
@@ -386,9 +381,9 @@ def run_request(request: ScheduleRequest,
                     wall = left if wall is None else min(wall, left)
                 outcome = schedule_block_resilient(
                     block, machine, chain,
-                    budget=Budget(wall_clock=wall, max_work=max_work),
+                    budget=Budget(wall_clock=wall),
                     verify=request.verify, cache=cache,
-                    metrics=metrics, breaker=breaker, tracer=tracer)
+                    metrics=metrics, tracer=tracer)
                 account(outcome)
         span_attrs["scheduled"] = n_scheduled
         span_attrs["shed"] = sum(shed_reasons.values())

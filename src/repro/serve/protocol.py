@@ -11,7 +11,7 @@ client-chosen ``id`` so requests may be pipelined on one connection.
 Client -> server operations (``op``):
 
 * ``schedule`` -- schedule a program; see :class:`ScheduleRequest`.
-* ``health`` -- liveness + pool/breaker/cache state (always answers),
+* ``health`` -- liveness + pool/overload/cache state (always answers),
   including per-thread warm-cache detail.
 * ``ready`` -- readiness: would a schedule request be admitted now?
 * ``stats`` -- the server's global block/request accounting (used by

@@ -71,7 +71,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer
 from repro.runner.journal import read_snapshot, write_snapshot
-from repro.runner.supervisor import CircuitBreaker, RetryPolicy
+from repro.runner.supervisor import RetryPolicy
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import (
@@ -135,7 +135,6 @@ class ServeConfig:
         max_request_blocks: largest admissible single request.
         block_wall_s: per-block wall-clock cap (tightened to the
             request's remaining deadline).
-        max_work: per-attempt construction-work budget.
         default_deadline_s: applied to requests that carry none
             (None = no implicit deadline).
         drain_grace_s: seconds in-flight requests get to finish
@@ -148,9 +147,6 @@ class ServeConfig:
             non-zero.
         cache_entries: LRU cap for each warm per-thread cache.
         chain: default builder fallback chain (request override wins).
-        breaker: share one circuit breaker across requests (outcome-
-            changing and load-sensitive, so opt-in, like everywhere
-            else in the runner).
         mem_limit_mb / task_timeout / quarantine_dir: forwarded to
             the pooled engine path (``jobs >= 2``).
         chaos: seeded :class:`~repro.runner.chaos.ChaosConfig` fault
@@ -177,8 +173,7 @@ class ServeConfig:
         overload: adaptive overload control -- the pressure monitor
             and degradation ladder of :mod:`repro.serve.overload`.
             The default config is conservative (the ladder sits at L0
-            until a pressure signal approaches its budget); None
-            disables the monitor entirely.
+            until a pressure signal approaches its budget).
     """
 
     address: str
@@ -190,13 +185,11 @@ class ServeConfig:
     tenant_max_blocks: int | None = None
     max_request_blocks: int = 10_000
     block_wall_s: float | None = 30.0
-    max_work: int | None = None
     default_deadline_s: float | None = None
     drain_grace_s: float = 5.0
     drain_force_s: float = 10.0
     cache_entries: int = 512
     chain: tuple[str, ...] | None = None
-    breaker: bool = False
     mem_limit_mb: int | None = None
     task_timeout: float | None = 60.0
     quarantine_dir: str | None = None
@@ -205,8 +198,7 @@ class ServeConfig:
     snapshot_every: int = 8
     dedup_entries: int = 1024
     telemetry: str | None = None
-    overload: OverloadConfig | None = field(
-        default_factory=OverloadConfig)
+    overload: OverloadConfig = field(default_factory=OverloadConfig)
 
 
 @dataclass
@@ -302,17 +294,13 @@ class ReproServer:
         #: rates, queue depth) behind the ``metrics`` op / endpoint
         self.window = RollingWindow()
         self._telemetry_server: asyncio.AbstractServer | None = None
-        #: the degradation ladder + its monitor (None when disabled)
-        self.ladder: DegradationLadder | None = None
-        self.overload_monitor: OverloadMonitor | None = None
+        #: the degradation ladder + its monitor
+        self.ladder = DegradationLadder(
+            config.overload, on_transition=self._on_overload_transition)
+        self.overload_monitor = OverloadMonitor(
+            self.ladder, self._overload_signals,
+            interval_s=config.overload.interval_s)
         self._overload_task: asyncio.Task | None = None
-        if config.overload is not None:
-            self.ladder = DegradationLadder(
-                config.overload,
-                on_transition=self._on_overload_transition)
-            self.overload_monitor = OverloadMonitor(
-                self.ladder, self._overload_signals,
-                interval_s=config.overload.interval_s)
         self.admission = AdmissionController(
             max_active=config.workers,
             max_queued=config.max_queued,
@@ -321,14 +309,10 @@ class ReproServer:
             tenant_max_blocks=config.tenant_max_blocks,
             max_request_blocks=config.max_request_blocks,
             metrics=metrics,
-            priority_tenants=frozenset(
-                config.overload.priority_tenants)
-            if config.overload is not None else frozenset(),
+            priority_tenants=frozenset(config.overload.priority_tenants),
             overload_level=self.overload_level,
             completion_rate=self.window.completion_rate_rps)
         self.stats = ServerStats()
-        self.breaker = (CircuitBreaker(metrics=metrics)
-                        if config.breaker else None)
         self._stats_lock = threading.Lock()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=config.workers,
@@ -408,8 +392,8 @@ class ReproServer:
     # -- overload control ---------------------------------------------------
 
     def overload_level(self) -> int:
-        """The degradation ladder's active level (0 when disabled)."""
-        return self.ladder.level if self.ladder is not None else 0
+        """The degradation ladder's active level."""
+        return self.ladder.level
 
     def _overload_signals(self) -> OverloadSignals:
         """One pressure sample (the monitor fills in lag and RSS).
@@ -517,7 +501,7 @@ class ReproServer:
 
     def _health_frame(self) -> dict:
         snapshot = self.admission.snapshot()
-        frame = {
+        return {
             "type": "health",
             "ok": True,
             "uptime_s": round(time.monotonic() - self._started, 3),
@@ -536,19 +520,13 @@ class ReproServer:
                 "finished_keys": len(self._finished),
                 "snapshot_loaded": self._snapshot_loaded,
             },
-        }
-        if self.ladder is not None:
-            frame["overload"] = {
+            "overload": {
                 "level": self.ladder.level,
                 "level_name": self.ladder.level_name,
                 "score": round(self.ladder.score, 4),
                 "dominant": self.ladder.dominant,
-            }
-        if self.breaker is not None:
-            frame["breaker"] = {
-                b: self.breaker.state(b)
-                for b, _ in self.breaker.transitions} or {}
-        return frame
+            },
+        }
 
     def _ready_frame(self) -> dict:
         ok, reason = self.admission.would_admit()
@@ -560,9 +538,7 @@ class ReproServer:
         return {"type": "stats", "server": stats,
                 "admission": self.admission.snapshot(),
                 "cache": cache_stats(),
-                "overload": (self.overload_monitor.snapshot()
-                             if self.overload_monitor is not None
-                             else {"enabled": False})}
+                "overload": self.overload_monitor.snapshot()}
 
     def exposition_text(self) -> str:
         """The full Prometheus exposition: registry + window + server.
@@ -588,18 +564,15 @@ class ReproServer:
             "# HELP repro_serve_draining 1 once drain has begun.",
             "# TYPE repro_serve_draining gauge",
             f"repro_serve_draining {int(snapshot['draining'])}",
+            "# HELP repro_overload_level Active degradation-"
+            "ladder level (0 normal .. 4 emergency).",
+            "# TYPE repro_overload_level gauge",
+            f"repro_overload_level {self.ladder.level}",
+            "# HELP repro_overload_max_level Highest ladder "
+            "level reached since boot.",
+            "# TYPE repro_overload_max_level gauge",
+            f"repro_overload_max_level {self.ladder.max_level}",
         ]
-        if self.ladder is not None:
-            server_lines += [
-                "# HELP repro_overload_level Active degradation-"
-                "ladder level (0 normal .. 4 emergency).",
-                "# TYPE repro_overload_level gauge",
-                f"repro_overload_level {self.ladder.level}",
-                "# HELP repro_overload_max_level Highest ladder "
-                "level reached since boot.",
-                "# TYPE repro_overload_max_level gauge",
-                f"repro_overload_max_level {self.ladder.max_level}",
-            ]
         parts.append("\n".join(server_lines) + "\n")
         return "".join(parts)
 
@@ -631,11 +604,11 @@ class ReproServer:
         jobs = cfg.jobs
         cache_entries = cfg.cache_entries
         degraded_trace = False
-        if cfg.overload is not None and level >= L_SHED_OPTIONAL:
+        if level >= L_SHED_OPTIONAL:
             cache_entries = min(cache_entries,
                                 cfg.overload.shed_cache_entries)
             degraded_trace = True
-        if cfg.overload is not None and level >= L_BROWNOUT:
+        if level >= L_BROWNOUT:
             chain = cfg.overload.brownout_chain
             jobs = min(jobs, cfg.overload.brownout_jobs)
             if request.chain is not None:
@@ -651,10 +624,8 @@ class ReproServer:
                 request, machine, blocks, emit,
                 chain_names=chain,
                 block_wall_s=cfg.block_wall_s,
-                max_work=cfg.max_work,
                 cache=warm_cache(request.machine, cache_entries),
                 metrics=self.metrics,
-                breaker=self.breaker,
                 cancelled=lambda: active.cancel_reason
                 or (SHED_DRAIN if self._drain_forced else None),
                 jobs=jobs,
@@ -1134,9 +1105,7 @@ class ReproServer:
             self._telemetry_server = await asyncio.start_server(
                 self._handle_telemetry, host=tparsed[1],
                 port=tparsed[2])
-        if self.overload_monitor is not None:
-            self._overload_task = asyncio.ensure_future(
-                self._overload_loop())
+        self._overload_task = asyncio.ensure_future(self._overload_loop())
         self.ready_event.set()
         if self._recovered:
             # Replay accepted-but-unfinished WAL work behind the

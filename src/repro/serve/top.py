@@ -121,10 +121,6 @@ def render_top(frames: dict, address: str = "") -> str:
                 f"misses {row.get('misses', 0)}, "
                 f"entries {row.get('entries', 0)}/"
                 f"{row.get('max_entries', 0)}")
-    if health.get("breaker"):
-        states = ", ".join(f"{b}={s}" for b, s in
-                           sorted(health["breaker"].items()))
-        lines.append(f"breaker: {states}")
     return "\n".join(lines)
 
 

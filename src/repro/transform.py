@@ -23,17 +23,14 @@ from repro.cfg import (
 from repro.dag.builders.base import DagBuilder
 from repro.dag.builders.table_forward import TableForwardBuilder
 from repro.errors import ReproError
-from repro.heuristics.incremental import (
-    annotate,
-    apply_inherited_incremental,
-)
-from repro.heuristics.passes import backward_pass
+from repro.heuristics.passes import backward_pass, forward_pass
 from repro.isa.instruction import Instruction
 from repro.machine.model import MachineModel
 from repro.pipeline import SECTION6_PRIORITY
 from repro.scheduling.delay_slots import fill_delay_slot
 from repro.scheduling.interblock import (
     ResidualLatency,
+    apply_inherited,
     residual_latencies,
 )
 from repro.scheduling.list_scheduler import (
@@ -172,13 +169,11 @@ def schedule_program(
             outcome = builder_factory().build(work_block)
             dag = outcome.dag
             if inherit_latencies:
-                # Full passes once on the clean DAG, then repair only
-                # the frontier the pseudo-arcs touch -- the inherited
-                # arcs no longer force a whole-DAG re-pass.
-                annotate(dag)
-                apply_inherited_incremental(dag, residuals)
-            else:
-                backward_pass(dag, require_est=False)
+                # The pseudo entry node's arcs shift EST, so the
+                # forward pass must see them before the backward one.
+                apply_inherited(dag, residuals)
+                forward_pass(dag)
+            backward_pass(dag, require_est=False)
             result = schedule_forward(dag, machine, priority)
             verify_order(result.order, dag)
         except ReproError as exc:

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     record_block_structure,
     record_build,
     record_cache,
-    record_incremental_repair,
     record_outcome,
     record_verify_check,
 )
@@ -185,7 +184,6 @@ class TestCatalogHelpers:
         record_outcome(None, _Outcome())
         record_cache(None, 1, 2)
         record_verify_check(None, "timing", True)
-        record_incremental_repair(None, 3, 10)
 
     def test_record_build(self):
         reg = MetricsRegistry()

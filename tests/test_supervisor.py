@@ -1,5 +1,5 @@
-"""Tests for the supervised worker pool: retry policy, circuit
-breaker, crash recovery, quarantine, and graceful interruption."""
+"""Tests for the supervised worker pool: retry policy, crash
+recovery, quarantine, and graceful interruption."""
 
 import json
 import os
@@ -10,24 +10,16 @@ import time
 
 import pytest
 
-from repro.errors import BatchInterrupted, ReproError
+from repro.errors import BatchInterrupted
 from repro.runner import (
-    CircuitBreaker,
     DEFAULT_CHAIN,
     RetryPolicy,
     RunJournal,
-    resolve_chain,
     run_batch,
     run_fingerprint,
-    schedule_block_resilient,
 )
 from repro.runner.bench import bench_blocks
 from repro.runner.chaos import ChaosConfig
-from repro.runner.supervisor import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-)
 from repro.workloads.kernels import straightline_source
 
 
@@ -56,98 +48,6 @@ class TestRetryPolicy:
         draws = {policy.delay(i, a) for i in range(4)
                  for a in range(1, 4)}
         assert len(draws) > 1
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=2)
-        breaker.record_failure("n2")
-        breaker.record_failure("n2")
-        assert breaker.state("n2") == BREAKER_CLOSED
-        breaker.record_failure("n2")
-        assert breaker.state("n2") == BREAKER_OPEN
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure("n2")
-        breaker.record_success("n2")
-        breaker.record_failure("n2")
-        assert breaker.state("n2") == BREAKER_CLOSED
-
-    def test_open_breaker_skips_then_goes_half_open(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=2)
-        breaker.record_failure("n2")
-        assert breaker.state("n2") == BREAKER_OPEN
-        assert not breaker.allow("n2")  # cooldown tick 1
-        assert breaker.allow("n2")      # cooldown over: the probe
-        assert breaker.state("n2") == BREAKER_HALF_OPEN
-
-    def test_half_open_probe_success_closes(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("n2")
-        assert breaker.allow("n2")
-        breaker.record_success("n2")
-        assert breaker.state("n2") == BREAKER_CLOSED
-        assert breaker.allow("n2")
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("n2")
-        assert breaker.allow("n2")
-        breaker.record_failure("n2")
-        assert breaker.state("n2") == BREAKER_OPEN
-        # A fresh cooldown applies before the next probe.
-        assert breaker.allow("n2")
-        assert breaker.state("n2") == BREAKER_HALF_OPEN
-
-    def test_half_open_admits_one_probe_at_a_time(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("n2")
-        assert breaker.allow("n2")      # the probe
-        assert not breaker.allow("n2")  # concurrent ask is refused
-
-    def test_breakers_are_per_builder(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("n2")
-        assert breaker.state("n2") == BREAKER_OPEN
-        assert breaker.state("table-forward") == BREAKER_CLOSED
-        assert breaker.allow("table-forward")
-
-    def test_transitions_are_recorded(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("n2")
-        breaker.allow("n2")
-        breaker.record_success("n2")
-        assert breaker.transitions == [
-            ("n2", BREAKER_OPEN), ("n2", BREAKER_HALF_OPEN),
-            ("n2", BREAKER_CLOSED)]
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ReproError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ReproError):
-            CircuitBreaker(cooldown=0)
-
-    def test_open_breaker_routes_chain_to_next_entry(self, machine,
-                                                     daxpy_block):
-        breaker = CircuitBreaker(threshold=1, cooldown=100)
-        first = DEFAULT_CHAIN[0]
-        breaker.record_failure(first)
-        chain = resolve_chain(DEFAULT_CHAIN, machine)
-        outcome = schedule_block_resilient(
-            daxpy_block, machine, chain, breaker=breaker)
-        assert outcome.attempts[0].builder == first
-        assert outcome.attempts[0].stage == "breaker-open"
-        assert outcome.builder == DEFAULT_CHAIN[1]
-
-    def test_skip_builders_matches_breaker_semantics(self, machine,
-                                                     daxpy_block):
-        chain = resolve_chain(DEFAULT_CHAIN, machine)
-        outcome = schedule_block_resilient(
-            daxpy_block, machine, chain,
-            skip_builders=(DEFAULT_CHAIN[0],))
-        assert outcome.attempts[0].stage == "breaker-open"
-        assert outcome.builder == DEFAULT_CHAIN[1]
 
 
 class TestSupervisedCrashRecovery:

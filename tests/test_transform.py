@@ -1,12 +1,19 @@
 """Tests for the whole-program scheduling transformation."""
 
+import hashlib
+
 import pytest
 
 from repro.asm import parse_asm, render_program
 from repro.cfg import partition_blocks
-from repro.machine import generic_risc
+from repro.machine import generic_risc, sparcstation2_like
 from repro.transform import schedule_program
-from repro.workloads import generate_program, kernel_source, scaled_profile
+from repro.workloads import (
+    generate_program,
+    get_profile,
+    kernel_source,
+    scaled_profile,
+)
 
 SOURCE = """
 entry:
@@ -120,3 +127,35 @@ class TestScheduleProgram:
         assert len(scheduled) == 0
         assert report.n_blocks == 0
         assert report.speedup == 1.0
+
+
+#: sha256 of the rendered program and (original, scheduled) cycle
+#: totals for ``inherit_latencies=True`` on the sparc model, frozen
+#: from the incremental-repair implementation the full passes replaced
+INHERITED_GOLDEN = {
+    ("nasa7", 0): ("da5cb22359aee15cd6bcb842dc2bb69a"
+                   "7ff27e5649e76acf4076256d1e475202", 24082, 20271),
+    ("nasa7", 1): ("75236283fdb5c0fd6dccb524f6bd0094"
+                   "d8acb5e6ce0c637fb67d0870f342a832", 24427, 20471),
+    ("nasa7", 2): ("305cd29073118b9beca66fb46cb17c20"
+                   "02fc4e3648c0632b1d265df88f7397f7", 24468, 20417),
+    ("tomcatv", 0): ("52afb7ecd68a1c4b2d6ca82dd225b3fd"
+                     "0824748a128021157f5b84f687e785ba", 4890, 3989),
+    ("tomcatv", 1): ("84fd5a44fddcff894819420b51c550c7"
+                     "b9fa0ace887e3f9dac04792bbdec1d68", 4683, 3841),
+    ("tomcatv", 2): ("31b7e329fc5bb04a7d2e6daa736732ba"
+                     "2851927d9ed21e99e450c3cd0624aaf5", 4805, 3905),
+}
+
+
+class TestInheritLatenciesGolden:
+    @pytest.mark.parametrize("name,seed", sorted(INHERITED_GOLDEN))
+    def test_emitted_program_and_cycles_pinned(self, name, seed):
+        program = generate_program(get_profile(name), seed=seed)
+        scheduled, report = schedule_program(
+            program, sparcstation2_like(), inherit_latencies=True)
+        digest = hashlib.sha256(
+            render_program(scheduled).encode()).hexdigest()
+        assert (digest, report.original_cycles,
+                report.scheduled_cycles) == INHERITED_GOLDEN[name, seed]
+        assert not report.failures
