@@ -55,9 +55,9 @@ MODULES = [
     "repro.runner.watchdog", "repro.runner.fallback",
     "repro.runner.journal", "repro.runner.fsck", "repro.runner.batch",
     "repro.runner.supervisor", "repro.runner.chaos",
-    "repro.runner.fuzz", "repro.runner.bench",
+    "repro.runner.fuzz",
     "repro.obs.trace", "repro.obs.metrics", "repro.obs.report",
-    "repro.obs.expo", "repro.obs.profile",
+    "repro.obs.expo",
     "repro.serve.protocol", "repro.serve.admission",
     "repro.serve.overload",
     "repro.serve.engine", "repro.serve.server",

@@ -44,7 +44,7 @@ Subcommands:
   torn tails vs mid-file corruption and repair what is safe (exit 0
   clean, 1 repairable, 2 unrepairable).
 
-``schedule``, ``verify``, and ``bench`` accept ``--trace FILE`` and
+``schedule`` and ``verify`` accept ``--trace FILE`` and
 ``--metrics FILE``; both are observation-only and leave schedules,
 journals, and stdout byte-identical to an uninstrumented run.
 
@@ -169,6 +169,19 @@ def _write_obs(args: argparse.Namespace, tracer: Tracer | None,
         write_metrics(registry, args.metrics)
 
 
+def _require_positive(args: argparse.Namespace, *flags: str) -> None:
+    """Reject a budget flag that is set but not greater than 0.
+
+    Runs before any work starts: ``--max-work 0`` would degrade every
+    block, a negative timeout makes the watchdog race its own thread,
+    and a zero cache cap only fails later, on an executor thread.
+    """
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and value <= 0:
+            raise ReproError(f"{flag} must be greater than 0, got {value}")
+
+
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -192,6 +205,7 @@ def _parse_program(source: str, args: argparse.Namespace,
 
 
 def _cmd_schedule(args: argparse.Namespace, out: Callable[[str], None]) -> int:
+    _require_positive(args, "--block-timeout", "--max-work")
     machine = MACHINES[args.machine]()
     source = _read_source(args.file)
     program = _parse_program(source, args, out)
@@ -279,7 +293,7 @@ def _schedule_resilient(args: argparse.Namespace, source: str, machine,
             out(f"{label}\t{instr.render()}")
 
     jobs = getattr(args, "jobs", 1) or 1
-    cache = None if getattr(args, "no_cache", False) else PairwiseCache()
+    cache = PairwiseCache()
     retry = None
     if getattr(args, "retries", None) is not None:
         retry = RetryPolicy(max_retries=args.retries)
@@ -504,6 +518,8 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     import asyncio
 
     from repro.serve.server import ReproServer, ServeConfig
+    _require_positive(args, "--block-wall", "--default-deadline",
+                      "--cache-entries")
     if args.supervised:
         return _cmd_serve_supervised(args, out)
     from repro.serve.overload import OverloadConfig
@@ -665,7 +681,7 @@ def _cmd_verify(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     # One shared dependence cache across builders x blocks: each
     # builder still records its own arc recipe, but the pairwise
     # preparation and the verifier's reference builds are reused.
-    cache = None if getattr(args, "no_cache", False) else PairwiseCache()
+    cache = PairwiseCache()
     tracer, registry = _obs_from_args(args)
     n_checked = n_failed = 0
     for block in blocks:
@@ -693,84 +709,12 @@ def _cmd_verify(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                     out(f"  {check.name}: {check.detail}")
     out(f"! verified {n_checked} schedules: "
         f"{n_checked - n_failed} passed, {n_failed} failed")
-    if registry is not None and cache is not None:
+    if registry is not None:
         info = cache.info()
         record_cache(registry, info["hits"], info["misses"],
                      entries=info["entries"], recipes=info["recipes"])
     _write_obs(args, tracer, registry)
     return 0 if n_failed == 0 else 1
-
-
-def _cmd_bench(args: argparse.Namespace, out: Callable[[str], None]) -> int:
-    from repro.runner.bench import (
-        DEFAULT_BENCH_PATH,
-        compare_bench,
-        load_bench,
-        render_compare,
-        run_bench,
-        write_bench,
-    )
-    out_path = args.out or DEFAULT_BENCH_PATH
-    compare = args.compare or []
-    if len(compare) > 2:
-        raise ReproError(
-            "--compare takes OLD.json or OLD.json NEW.json")
-    if len(compare) == 2:
-        # Pure gate mode: compare two existing documents, run nothing.
-        result = compare_bench(load_bench(compare[0]),
-                               load_bench(compare[1]),
-                               wall_ratio=args.wall_ratio)
-        out(render_compare(result, compare[0], compare[1],
-                           args.wall_ratio))
-        return 0 if result["ok"] else 1
-    machine = MACHINES[args.machine]()
-    tracer, registry = _obs_from_args(args)
-    doc = run_bench(machine, machine_name=args.machine,
-                    copies=args.copies, repeats=args.repeats,
-                    jobs=args.jobs, quick=args.quick,
-                    tracer=tracer, metrics=registry)
-    write_bench(doc, out_path)
-    _write_obs(args, tracer, registry)
-    batch = doc["batch"]
-    out(f"! bench: {doc['workload']['n_blocks']} blocks, "
-        f"{doc['workload']['n_instructions']} instructions "
-        f"({'quick' if doc['quick'] else 'full'})")
-    parallel = (f", parallel {batch['parallel_s']:.3f}s"
-                if batch["parallel_s"] is not None else "")
-    out(f"! batch: baseline {batch['baseline_s']:.3f}s, "
-        f"cached {batch['cached_s']:.3f}s{parallel} -> "
-        f"{batch['reduction_fraction'] * 100:.1f}% reduction")
-    out(f"! schedules identical across variants: "
-        f"{batch['schedules_identical']}")
-    out(f"! wrote {out_path}")
-    if compare:
-        result = compare_bench(load_bench(compare[0]), doc,
-                               wall_ratio=args.wall_ratio)
-        out(render_compare(result, compare[0], out_path,
-                           args.wall_ratio))
-        return 0 if result["ok"] else 1
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace,
-                 out: Callable[[str], None]) -> int:
-    from repro.obs.profile import profile_workload, write_profile
-    builders = (tuple(b.strip() for b in args.builders.split(",")
-                      if b.strip()) if args.builders else None)
-    copies = 2 if args.quick else args.copies
-    profile = profile_workload(args.machine, copies=copies,
-                               builders=builders, jobs=args.jobs)
-    write_profile(profile, args.out, args.markdown)
-    out(f"! profile: machine {args.machine}, {copies} copies/kernel, "
-        f"{profile.total()} work units over {len(profile.stacks)} "
-        f"stacks (deterministic; identical across runs and --jobs)")
-    heaviest = sorted(profile.stacks.items(),
-                      key=lambda kv: (-kv[1], kv[0]))[:5]
-    for stack, units in heaviest:
-        out(f"!   {';'.join(stack)} {units}")
-    out(f"! wrote {args.out}"
-        + (f" and {args.markdown}" if args.markdown else ""))
-    return 0
 
 
 def _cmd_top(args: argparse.Namespace,
@@ -898,10 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "that exceeds it dies as an attributed "
                                "'oom' crash and its block is retried "
                                "on a fresh worker")
-    schedule.add_argument("--no-cache", action="store_true",
-                          help="disable the pairwise-dependence cache "
-                               "(schedules are identical either way; "
-                               "this exists for timing comparisons)")
     schedule.add_argument("--journal", default=None, metavar="PATH",
                           help="write per-block outcomes to a JSONL "
                                "journal as the run progresses")
@@ -934,73 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--no-semantics", action="store_true",
                         help="skip the interpreter-based semantic "
                              "equivalence check")
-    verify.add_argument("--no-cache", action="store_true",
-                        help="disable the shared dependence cache")
     verify.set_defaults(handler=_cmd_verify)
-
-    bench = sub.add_parser("bench", parents=[obs_flags],
-                           help="benchmark builders, heuristic passes, "
-                                "and the cached/parallel batch path "
-                                "(writes a JSON report)")
-    bench.add_argument("--machine", choices=sorted(MACHINES),
-                       default="sparc", help="timing model")
-    bench.add_argument("--copies", type=int, default=32,
-                       help="straight-line body repetitions per kernel")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing runs per measurement (minimum "
-                            "is reported)")
-    bench.add_argument("--jobs", type=int, default=2, metavar="N",
-                       help="workers for the parallel batch variant "
-                            "(1 skips it)")
-    bench.add_argument("--quick", action="store_true",
-                       help="small workload and fewer repeats "
-                            "(CI smoke mode)")
-    bench.add_argument("--out", "--out-json", dest="out", default=None,
-                       metavar="PATH",
-                       help="output document path (default: "
-                            "BENCH_v<schema>.json for the current "
-                            "bench schema version)")
-    bench.add_argument("--compare", nargs="+", default=None,
-                       metavar="JSON",
-                       help="regression gate: with one path, run the "
-                            "bench and compare the fresh document "
-                            "against it; with two paths, compare the "
-                            "existing documents without running. "
-                            "Deterministic counters must match "
-                            "exactly; wall clocks gate at "
-                            "--wall-ratio. Exits 1 on violations.")
-    bench.add_argument("--wall-ratio", type=float, default=2.0,
-                       metavar="R",
-                       help="max allowed NEW/OLD wall-clock ratio "
-                            "for --compare (default 2.0)")
-    bench.set_defaults(handler=_cmd_bench)
-
-    profile = sub.add_parser("profile",
-                             help="deterministic work profile: "
-                                  "attribute builder work counters to "
-                                  "a workload x builder x phase call "
-                                  "tree (collapsed-stack + Markdown)")
-    profile.add_argument("--machine", choices=sorted(MACHINES),
-                         default="generic", help="timing model")
-    profile.add_argument("--copies", type=int, default=8,
-                         help="straight-line body repetitions per "
-                              "kernel")
-    profile.add_argument("--quick", action="store_true",
-                         help="2 copies per kernel (CI smoke mode)")
-    profile.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="profile blocks in N processes (the "
-                              "profile is byte-identical for any N)")
-    profile.add_argument("--builders", default=None, metavar="A,B",
-                         help="comma-separated builder subset "
-                              "(default: all registered builders)")
-    profile.add_argument("--out", default="profile.collapsed",
-                         metavar="PATH",
-                         help="collapsed-stack output path (feed to "
-                              "flamegraph.pl / inferno / speedscope)")
-    profile.add_argument("--markdown", default=None, metavar="PATH",
-                         help="also write a 'where the work goes' "
-                              "Markdown table")
-    profile.set_defaults(handler=_cmd_profile)
 
     report = sub.add_parser("report",
                             help="render paper-style Tables 3/4/5 and "
@@ -1058,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--machine", choices=sorted(MACHINES),
                        default="generic", help="timing model")
     chaos.add_argument("--copies", type=int, default=4,
-                       help="bench-workload size multiplier")
+                       help="kernel-workload size multiplier")
     chaos.add_argument("--jobs", type=int, default=4, metavar="N",
                        help="supervised workers (>= 2)")
     chaos.add_argument("--exit-rate", type=float, default=0.1,

@@ -19,13 +19,9 @@ package is the common surface those quantities flow through:
 * :mod:`repro.obs.expo` -- Prometheus text exposition of a metrics
   snapshot plus :class:`~repro.obs.expo.RollingWindow`, the
   ring-buffer sliding-window aggregates (p50/p99 latency, queue
-  depth, shed/reject rates) behind ``repro serve --telemetry``;
-* :mod:`repro.obs.profile` -- ``repro profile``: the deterministic
-  work-profiler attributing builder work counters to a
-  workload/builder/phase call tree, exported as collapsed stacks for
-  flamegraph tooling and a Markdown "where the work goes" table.
+  depth, shed/reject rates) behind ``repro serve --telemetry``.
 
-Instrumented layers (``repro schedule``/``verify``/``bench``,
+Instrumented layers (``repro schedule``/``verify``,
 :func:`repro.runner.batch.run_batch`,
 :func:`repro.runner.fallback.schedule_block_resilient`,
 :func:`repro.pipeline.run_pipeline`,
@@ -47,12 +43,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     read_metrics,
     write_metrics,
-)
-from repro.obs.profile import (
-    WorkProfile,
-    profile_block,
-    profile_workload,
-    write_profile,
 )
 from repro.obs.report import (
     load_journal_blocks,
@@ -79,11 +69,8 @@ __all__ = [
     "NullTracer",
     "RollingWindow",
     "Tracer",
-    "WorkProfile",
     "load_journal_blocks",
     "parse_exposition",
-    "profile_block",
-    "profile_workload",
     "read_metrics",
     "render_markdown",
     "render_exposition",
@@ -91,7 +78,6 @@ __all__ = [
     "span_tree",
     "write_chrome_trace",
     "write_metrics",
-    "write_profile",
     "write_trace",
     "write_trace_jsonl",
 ]

@@ -10,13 +10,11 @@ execution (:mod:`repro.runner.batch`), the crash-isolated supervised
 worker pool with retry/backoff and quarantine
 (:mod:`repro.runner.supervisor`), the seeded fault-injection
 chaos harness that proves the pool's guarantees
-(:mod:`repro.runner.chaos`), the reproducible performance benchmark
-(:mod:`repro.runner.bench`), and the differential fuzz harness that
+(:mod:`repro.runner.chaos`), and the differential fuzz harness that
 hunts for builder disagreements (:mod:`repro.runner.fuzz`).
 """
 
 from repro.runner.batch import BatchResult, run_batch
-from repro.runner.bench import run_bench, write_bench
 from repro.runner.chaos import ChaosConfig, ChaosReport, run_chaos
 from repro.runner.fallback import (
     BUILDER_CLASSES,
@@ -65,7 +63,6 @@ __all__ = [
     "resolve_chain",
     "RetryPolicy",
     "run_batch",
-    "run_bench",
     "run_chaos",
     "run_fingerprint",
     "run_with_watchdog",
@@ -73,5 +70,4 @@ __all__ = [
     "schedule_block_resilient",
     "SupervisedPool",
     "SupervisorStats",
-    "write_bench",
 ]

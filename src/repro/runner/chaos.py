@@ -2,9 +2,9 @@
 
 The supervised pool's whole contract is that worker death is
 recoverable and invisible to healthy blocks.  This harness *proves* it
-on demand: it runs the deterministic bench workload twice -- once
-clean and serial, once parallel with faults injected at seeded rates
--- and asserts that
+on demand: it runs the deterministic repeated-kernel workload twice --
+once clean and serial, once parallel with faults injected at seeded
+rates -- and asserts that
 
 * the batch completes (no abort, no lost blocks);
 * every non-quarantined block's outcome record is byte-identical to
@@ -32,8 +32,8 @@ from repro.errors import ReproError
 from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.batch import run_batch
-from repro.runner.bench import bench_blocks
 from repro.runner.supervisor import RetryPolicy
+from repro.workloads.kernels import kernel_blocks
 
 #: directive kinds plan() can return, in roll order
 INJECTION_KINDS = ("exit", "kill", "delay", "corrupt", "alloc")
@@ -164,13 +164,13 @@ def run_chaos(machine: MachineModel,
               retry: RetryPolicy | None = None,
               task_timeout: float | None = 60.0,
               mem_limit_mb: int | None = None) -> ChaosReport:
-    """Run the bench workload clean, then under chaos, and compare.
+    """Run the kernel workload clean, then under chaos, and compare.
 
     Args:
         machine: timing model.
         config: the fault-injection plan.
-        copies: bench-workload size multiplier
-            (:func:`repro.runner.bench.bench_blocks`).
+        copies: kernel-workload size multiplier
+            (:func:`repro.workloads.kernels.kernel_blocks`).
         jobs: supervised workers for the chaos run.
         expect_quarantined: when given, the quarantined set must equal
             it exactly (the CLI passes the poison set).
@@ -194,7 +194,7 @@ def run_chaos(machine: MachineModel,
         raise ReproError(
             f"chaos runs need the supervised pool (jobs >= 2), "
             f"got jobs={jobs}")
-    blocks = bench_blocks(copies)
+    blocks = kernel_blocks(copies)
     clean = run_batch(blocks, machine, jobs=1)
     baseline = {o.index: o.to_record() for o in clean.outcomes}
 

@@ -188,7 +188,7 @@ class BlockOutcome:
 
         Args:
             volatile: include host-dependent fields (``wall_s``).  The
-                journal passes True; determinism comparisons (bench,
+                journal passes True; determinism comparisons (chaos,
                 jobs-N-vs-1) use the default deterministic record.
         """
         record = {

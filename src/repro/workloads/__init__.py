@@ -7,7 +7,9 @@ fingerprint* straight from Table 3 (block count, instruction count,
 block-size extremes, memory-expression density) and
 :mod:`repro.workloads.synthetic` deterministically generates an
 instruction stream matching it.  :mod:`repro.workloads.kernels` adds
-small hand-written assembly kernels for examples and tests.
+small hand-written assembly kernels for examples and tests, and
+:func:`~repro.workloads.kernels.kernel_blocks`, the repeated-kernel
+block population built from them.
 """
 
 from repro.workloads.profiles import (
@@ -19,6 +21,7 @@ from repro.workloads.profiles import (
 from repro.workloads.synthetic import generate_blocks, generate_program
 from repro.workloads.kernels import (
     KERNELS,
+    kernel_blocks,
     kernel_source,
     straightline_body,
     straightline_source,
@@ -42,6 +45,7 @@ __all__ = [
     "generate_blocks",
     "generate_program",
     "KERNELS",
+    "kernel_blocks",
     "kernel_source",
     "straightline_body",
     "straightline_source",

@@ -4,11 +4,15 @@ Small, human-readable SPARC-like kernels in the spirit of the paper's
 scientific benchmarks: a daxpy inner loop (Linpack's core), a Livermore
 hydro-fragment step, a dot product, and the paper's own Figure 1
 block.  All are single translation units parseable by
-:func:`repro.asm.parse_asm`.
+:func:`repro.asm.parse_asm`.  :func:`kernel_blocks` turns four of
+them into the repeated-kernel block population that the chaos harness
+and the exact-counter golden tests schedule.
 """
 
 from __future__ import annotations
 
+from repro.asm import parse_asm
+from repro.cfg import BasicBlock, apply_window, partition_blocks
 from repro.errors import WorkloadError
 
 FIGURE1 = """\
@@ -166,3 +170,31 @@ def straightline_source(name: str, copies: int = 1) -> str:
         raise WorkloadError(f"copies must be >= 1, got {copies}")
     body = straightline_body(name)
     return "\n".join("\n".join(body) for _ in range(copies)) + "\n"
+
+
+#: kernels whose straight-line bodies make up :func:`kernel_blocks`
+BLOCK_KERNELS = ("daxpy", "livermore1", "dot_product", "superscalar_mix")
+
+
+def kernel_blocks(copies: int) -> list[BasicBlock]:
+    """The repeated-kernel block population (deterministic).
+
+    Each of :data:`BLOCK_KERNELS` has its straight-line body repeated
+    ``copies`` times and windowed at exactly its own body length, so
+    every kernel contributes ``copies`` textually identical blocks --
+    the unrolled inner-loop population where dependence caching pays.
+    Blocks are renumbered globally so journal/batch indices stay
+    unique.
+
+    Raises:
+        WorkloadError: for ``copies < 1``.
+    """
+    blocks: list[BasicBlock] = []
+    for name in BLOCK_KERNELS:
+        body_len = len(straightline_body(name))
+        program = parse_asm(straightline_source(name, copies), name=name)
+        for block in apply_window(partition_blocks(program), body_len):
+            if block.instructions:
+                blocks.append(BasicBlock(len(blocks), block.instructions,
+                                         block.label))
+    return blocks

@@ -1,4 +1,4 @@
-"""Tests for --jobs batch runs, work accounting, and the benchmark."""
+"""Tests for --jobs batch runs and work accounting."""
 
 import json
 
@@ -18,7 +18,6 @@ from repro.runner import (
     run_fingerprint,
     schedule_block_resilient,
 )
-from repro.runner.bench import bench_blocks, run_bench, write_bench
 from repro.workloads import KERNELS, kernel_source
 
 COUNTERS = ("comparisons", "table_probes", "alias_checks",
@@ -165,43 +164,3 @@ class TestAttemptWorkAccounting:
                            budget=Budget(max_work=n2_work - 1))
         assert result.failures == []
         assert result.wasted_work >= n2_work - 1
-
-
-class TestBench:
-    def test_bench_blocks_deterministic(self):
-        assert records_like(bench_blocks(2)) == records_like(
-            bench_blocks(2))
-        assert len(bench_blocks(3)) == 4 * 3
-
-    def test_run_bench_document(self, tmp_path, sparc_machine):
-        doc = run_bench(sparc_machine, machine_name="sparc", copies=2,
-                        repeats=1, jobs=1, quick=True)
-        assert doc["batch"]["schedules_identical"] is True
-        assert set(doc["builders"]) == {
-            "n2", "landskov", "table-forward", "table-backward",
-            "bitmap-backward"}
-        for row in doc["builders"].values():
-            assert row["time_s"] >= 0.0
-            assert row["table_probes"] >= 0
-        assert doc["builders"]["bitmap-backward"][
-            "bitmap_words_touched"] > 0
-        out = tmp_path / "bench.json"
-        write_bench(doc, str(out))
-        assert json.loads(out.read_text()) == doc
-
-    def test_bench_counters_reproducible(self, sparc_machine):
-        one = run_bench(sparc_machine, copies=2, repeats=1, jobs=1,
-                        quick=True)
-        two = run_bench(sparc_machine, copies=2, repeats=1, jobs=1,
-                        quick=True)
-        strip = lambda d: {name: {k: v for k, v in row.items()
-                                  if not k.endswith("_s")}
-                           for name, row in d["builders"].items()}
-        assert strip(one) == strip(two)
-        assert one["batch"]["build_counters"] \
-            == two["batch"]["build_counters"]
-
-
-def records_like(blocks):
-    return [(b.index, [i.render() for i in b.instructions])
-            for b in blocks]

@@ -18,9 +18,12 @@ from repro.dag.builders import (
     TableForwardBuilder,
 )
 from repro.dag.bitmap import compute_reachability
+from repro.dag.builders.base import BuildStats
 from repro.dep import DepType
 from repro.isa.memory import AliasPolicy
-from repro.machine import generic_risc
+from repro.machine import generic_risc, sparcstation2_like
+from repro.runner import BUILDER_CLASSES, run_batch
+from repro.workloads import kernel_blocks
 
 
 def build(builder_cls, source: str, machine=None, **kwargs):
@@ -190,6 +193,49 @@ class TestBuilderEquivalence:
         assert not any(classify_arcs(out.dag).values())
 
 
+#: Exact work over kernel_blocks(32) on the sparc model, no cache: the
+#: seven BuildStats counters plus reachability words touched, per
+#: builder.  Deterministic, so any drift is a behaviour change.
+KERNEL_BLOCKS_COUNTERS = {
+    "bitmap-backward": dict(
+        comparisons=0, table_probes=8416, alias_checks=2464,
+        arcs_added=1216, arcs_merged=768, arcs_suppressed=192,
+        bitmap_ops=4160, bitmap_words_touched=3360),
+    "landskov": dict(
+        comparisons=5280, table_probes=0, alias_checks=2464,
+        arcs_added=1184, arcs_merged=736, arcs_suppressed=0,
+        bitmap_ops=0, bitmap_words_touched=0),
+    "n2": dict(
+        comparisons=7104, table_probes=0, alias_checks=2464,
+        arcs_added=1344, arcs_merged=832, arcs_suppressed=0,
+        bitmap_ops=0, bitmap_words_touched=0),
+    "table-backward": dict(
+        comparisons=0, table_probes=8416, alias_checks=2464,
+        arcs_added=1344, arcs_merged=832, arcs_suppressed=0,
+        bitmap_ops=0, bitmap_words_touched=0),
+    "table-forward": dict(
+        comparisons=0, table_probes=6048, alias_checks=2464,
+        arcs_added=1344, arcs_merged=832, arcs_suppressed=0,
+        bitmap_ops=0, bitmap_words_touched=0),
+}
+
+#: The verified section 6 batch over the same blocks (default chain).
+KERNEL_BLOCKS_BATCH = dict(
+    total_makespan=3712, total_original_makespan=4256,
+    build_stats=dict(
+        comparisons=0, table_probes=8416, alias_checks=2464,
+        arcs_added=1216, arcs_merged=768, arcs_suppressed=192,
+        bitmap_ops=4160))
+
+#: the seven BuildStats work counters, in KERNEL_BLOCKS_* order
+COUNTERS = tuple(KERNEL_BLOCKS_BATCH["build_stats"])
+
+
+@pytest.fixture(scope="module")
+def kernel_blocks_32():
+    return kernel_blocks(32)
+
+
 class TestWorkCounters:
     def test_n2_comparison_count(self, machine):
         out = build(CompareAllBuilder, "nop\n" * 10, machine)
@@ -215,6 +261,34 @@ class TestWorkCounters:
         out = build(BitmapBackwardBuilder, SEQ, machine, uses_first=True)
         plain = build(TableBackwardBuilder, SEQ, machine)
         assert out.dag.n_arcs + out.stats.arcs_suppressed >= plain.dag.n_arcs
+
+    def test_kernel_blocks_cover_every_builder(self):
+        assert set(KERNEL_BLOCKS_COUNTERS) == set(BUILDER_CLASSES)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_BLOCKS_COUNTERS))
+    def test_kernel_blocks_builder_counters(self, name, kernel_blocks_32):
+        machine = sparcstation2_like()
+        total = BuildStats()
+        words = 0
+        for block in kernel_blocks_32:
+            builder = BUILDER_CLASSES[name](machine)
+            total.merge(builder.build(block).stats)
+            rmap = getattr(builder, "reachability", None)
+            if rmap is not None:
+                words += rmap.words_touched
+        got = {c: getattr(total, c) for c in COUNTERS}
+        got["bitmap_words_touched"] = words
+        assert got == KERNEL_BLOCKS_COUNTERS[name]
+
+    def test_kernel_blocks_verified_batch(self, kernel_blocks_32):
+        result = run_batch(kernel_blocks_32, sparcstation2_like(),
+                           verify=True)
+        got = dict(
+            total_makespan=result.total_makespan,
+            total_original_makespan=result.total_original_makespan,
+            build_stats={c: getattr(result.build_stats, c)
+                         for c in COUNTERS})
+        assert got == KERNEL_BLOCKS_BATCH
 
 
 class TestMemoryPolicies:

@@ -19,7 +19,7 @@ from repro.runner import (
     run_chaos,
     run_fingerprint,
 )
-from repro.runner.bench import bench_blocks
+from repro.workloads import kernel_blocks
 
 
 class TestChaosConfig:
@@ -80,7 +80,7 @@ class TestChaosDeterminism:
         assert first.quarantined_indices == second.quarantined_indices
 
     def test_corrupted_payloads_are_survived(self, machine):
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         serial = run_batch(blocks, machine)
         config = ChaosConfig(seed=2, corrupt_rate=0.7,
                              max_injected_attempts=1)
@@ -134,7 +134,7 @@ class TestResilienceReport:
         registry = MetricsRegistry()
         fp = run_fingerprint("chaos", "generic", list(DEFAULT_CHAIN))
         path = str(tmp_path / "run.jsonl")
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         with RunJournal.open_fresh(path, fp) as journal:
             run_batch(blocks, machine, jobs=3, chaos=config,
                       retry=RetryPolicy(max_retries=1,
@@ -159,7 +159,7 @@ class TestResilienceReport:
 
     def test_clean_run_report_has_no_resilience_section(self, machine):
         registry = MetricsRegistry()
-        result = run_batch(bench_blocks(1), machine, metrics=registry)
+        result = run_batch(kernel_blocks(1), machine, metrics=registry)
         doc = report_from(
             [o.to_record(volatile=True) for o in result.outcomes],
             registry.snapshot())
@@ -171,7 +171,7 @@ class TestResilienceReport:
         registry = MetricsRegistry()
         config = ChaosConfig(seed=1, exit_rate=0.4,
                              max_injected_attempts=1)
-        run_batch(bench_blocks(1), machine, jobs=2, chaos=config,
+        run_batch(kernel_blocks(1), machine, jobs=2, chaos=config,
                   retry=RetryPolicy(base_delay=0.01),
                   metrics=registry)
         snapshot = registry.snapshot()

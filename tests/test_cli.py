@@ -122,6 +122,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             run_cli(["schedule", asm_file, "--algorithm", "nope"])
 
+    @pytest.mark.parametrize("command", ["bench", "profile"])
+    def test_removed_measurement_commands_are_unknown(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command])
+        assert exc.value.code == 2
+
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             run_cli(["schedule", "/nonexistent/file.s"])
@@ -257,6 +263,20 @@ class TestResilientScheduleFlags:
         assert "degraded to original order" in text
         assert "timeout failed" in text
         assert "total:" in text
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-work", "0"), ("--max-work", "-5"),
+        ("--block-timeout", "0"), ("--block-timeout", "-1")])
+    def test_out_of_range_budget_is_2_before_any_work(
+            self, asm_file, tmp_path, flag, value):
+        journal = tmp_path / "run.jsonl"
+        status, text = run_cli(["schedule", asm_file, flag, value,
+                                "--journal", str(journal)])
+        assert status == 2
+        assert text.startswith(f"repro: error: {flag} must be greater "
+                               f"than 0")
+        assert "cycles" not in text
+        assert not journal.exists()
 
     def test_verify_flag(self, asm_file):
         status, text = run_cli(["schedule", asm_file, "--verify"])

@@ -500,6 +500,27 @@ class TestServer:
         finally:
             background.drain()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--cache-entries", "0"), ("--cache-entries", "-3"),
+        ("--block-wall", "0"), ("--block-wall", "-1"),
+        ("--default-deadline", "0"), ("--default-deadline", "-2.5")])
+    def test_out_of_range_budget_is_2_before_startup(
+            self, tmp_path, monkeypatch, flag, value):
+        from repro.cli import main
+        import repro.serve.server as server_mod
+
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("daemon built despite a bad budget")
+
+        monkeypatch.setattr(server_mod, "ReproServer", no_daemon)
+        lines = []
+        status = main(["serve", "--address", f"unix:{tmp_path}/b.sock",
+                       flag, value], out=lines.append)
+        assert status == 2
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"repro: error: {flag} must be greater than 0")
+
     def test_non_loopback_bind_is_refused(self):
         config = ServeConfig(address="0.0.0.0:0")
         with pytest.raises(ReproError, match="loopback"):

@@ -18,9 +18,8 @@ from repro.runner import (
     run_batch,
     run_fingerprint,
 )
-from repro.runner.bench import bench_blocks
 from repro.runner.chaos import ChaosConfig
-from repro.workloads.kernels import straightline_source
+from repro.workloads.kernels import kernel_blocks, straightline_source
 
 
 def records(result):
@@ -52,7 +51,7 @@ class TestRetryPolicy:
 
 class TestSupervisedCrashRecovery:
     def test_clean_supervised_run_matches_serial(self, machine):
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         serial = run_batch(blocks, machine)
         supervised = run_batch(blocks, machine, jobs=3)
         assert records(serial) == records(supervised)
@@ -61,7 +60,7 @@ class TestSupervisedCrashRecovery:
         assert supervised.supervisor_stats.quarantined == 0
 
     def test_crashed_blocks_are_retried_then_match_serial(self, machine):
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         serial = run_batch(blocks, machine)
         chaos = ChaosConfig(seed=5, exit_rate=0.5,
                             max_injected_attempts=1)
@@ -75,7 +74,7 @@ class TestSupervisedCrashRecovery:
 
     def test_poisoned_block_is_quarantined_with_reproducer(
             self, machine, tmp_path):
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         chaos = ChaosConfig(seed=1, poison=frozenset({2}))
         result = run_batch(
             blocks, machine, jobs=2, chaos=chaos,
@@ -97,7 +96,7 @@ class TestSupervisedCrashRecovery:
 
     def test_quarantined_record_resumes_without_recomputation(
             self, machine, tmp_path):
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         chaos = ChaosConfig(seed=1, poison=frozenset({0}))
         fp = run_fingerprint("chaos", "generic", list(DEFAULT_CHAIN))
         path = str(tmp_path / "run.jsonl")
@@ -165,7 +164,7 @@ class TestGracefulInterrupt:
         assert completed  # at least one block checkpointed
 
     def test_batch_interrupted_carries_resume_context(self, machine):
-        blocks = bench_blocks(1)
+        blocks = kernel_blocks(1)
         boom = {"count": 0}
 
         def interrupt_soon(outcome):

@@ -9,6 +9,7 @@ from repro.workloads import (
     generate_blocks,
     generate_program,
     get_profile,
+    kernel_blocks,
     kernel_source,
     scaled_profile,
 )
@@ -170,3 +171,28 @@ class TestKernels:
         # Body block (ending in bg) + delay-slot nop block.
         assert len(blocks) == 2
         assert blocks[0].terminator is not None
+
+
+class TestKernelBlocks:
+    @staticmethod
+    def _rendered(blocks):
+        return [(b.index, [i.render() for i in b.instructions])
+                for b in blocks]
+
+    def test_deterministic(self):
+        assert self._rendered(kernel_blocks(2)) == self._rendered(
+            kernel_blocks(2))
+        assert len(kernel_blocks(3)) == 4 * 3
+
+    def test_indices_are_global_and_copies_identical(self):
+        blocks = kernel_blocks(3)
+        assert [b.index for b in blocks] == list(range(12))
+        for kernel in range(4):
+            copies = blocks[3 * kernel:3 * kernel + 3]
+            bodies = {tuple(i.render() for i in b.instructions)
+                      for b in copies}
+            assert len(bodies) == 1
+
+    def test_rejects_zero_copies(self):
+        with pytest.raises(WorkloadError):
+            kernel_blocks(0)
