@@ -69,22 +69,10 @@ from repro.cfg import (
     partition_blocks,
     pin_delay_slot_occupants,
 )
-from repro.dag.builders import (
-    BitmapBackwardBuilder,
-    CompareAllBuilder,
-    LandskovBuilder,
-    PairwiseCache,
-    TableBackwardBuilder,
-    TableForwardBuilder,
-)
+from repro.dag.builders import PairwiseCache, TableForwardBuilder
 from repro.errors import BatchInterrupted, ReproError
 from repro.heuristics.passes import backward_pass
-from repro.machine import (
-    generic_risc,
-    rs6000_like,
-    sparcstation2_like,
-    superscalar2,
-)
+from repro.machine import MACHINES
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -98,6 +86,7 @@ from repro.obs import (
 from repro.obs.metrics import record_cache
 from repro.pipeline import SECTION6_PRIORITY
 from repro.runner import (
+    BUILDER_CLASSES as BUILDERS,
     DEFAULT_CHAIN,
     Budget,
     ChaosConfig,
@@ -119,21 +108,6 @@ from repro.scheduling.algorithms import (
 from repro.scheduling.list_scheduler import schedule_forward
 from repro.scheduling.timing import simulate
 from repro.verify import verify_schedule
-
-MACHINES = {
-    "generic": generic_risc,
-    "sparc": sparcstation2_like,
-    "rs6000": rs6000_like,
-    "superscalar2": superscalar2,
-}
-
-BUILDERS = {
-    "n2": CompareAllBuilder,
-    "landskov": LandskovBuilder,
-    "table-forward": TableForwardBuilder,
-    "table-backward": TableBackwardBuilder,
-    "bitmap-backward": BitmapBackwardBuilder,
-}
 
 ALGORITHMS = {
     "gibbons-muchnick": GibbonsMuchnick,
@@ -182,6 +156,26 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
             raise ReproError(f"{flag} must be greater than 0, got {value}")
 
 
+def _require_section6(args: argparse.Namespace) -> None:
+    """Refuse the section-6-only flags under a published algorithm.
+
+    Those algorithms run without the resilient runner, so a budget,
+    chain, pool or journal flag would be silently ignored.
+    """
+    if args.algorithm == "section6":
+        return
+    for flag, unset in (("--chain", None), ("--block-timeout", None),
+                        ("--max-work", None), ("--verify", False),
+                        ("--jobs", 1), ("--retries", None),
+                        ("--quarantine-dir", None),
+                        ("--worker-mem-mb", None), ("--journal", None),
+                        ("--resume", False)):
+        if getattr(args, flag.lstrip("-").replace("-", "_")) != unset:
+            raise ReproError(
+                f"{flag} requires the section 6 pipeline "
+                f"(--algorithm section6)")
+
+
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -206,6 +200,7 @@ def _parse_program(source: str, args: argparse.Namespace,
 
 def _cmd_schedule(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     _require_positive(args, "--block-timeout", "--max-work")
+    _require_section6(args)
     machine = MACHINES[args.machine]()
     source = _read_source(args.file)
     program = _parse_program(source, args, out)
@@ -219,10 +214,6 @@ def _cmd_schedule(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                                      tracer=tracer, metrics=registry)
         _write_obs(args, tracer, registry)
         return status
-    if args.journal or args.resume:
-        raise ReproError(
-            "--journal/--resume require the section 6 pipeline "
-            "(--algorithm section6)")
     span_tracer = tracer if tracer is not None else None
     total = original_total = 0
     for block in blocks:
@@ -361,14 +352,9 @@ def _cmd_chaos_serve(args: argparse.Namespace,
     config = ServeChaosConfig(
         seed=args.seed,
         requests=3 if args.quick else args.requests,
-        jobs=max(2, args.jobs),
         copies=4 if args.quick else args.copies,
-        exit_rate=args.exit_rate,
-        kill_rate=args.kill_rate,
         disconnect_rate=args.disconnect_rate,
-        storm_rate=args.storm_rate,
-        alloc_rate=args.alloc_rate,
-        mem_limit_mb=args.worker_mem_mb)
+        storm_rate=args.storm_rate)
     report = run_serve_chaos(config, metrics=registry)
     out(render_serve_chaos_report(report))
     _write_obs(args, tracer, registry)
@@ -518,8 +504,13 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     import asyncio
 
     from repro.serve.server import ReproServer, ServeConfig
-    _require_positive(args, "--block-wall", "--default-deadline",
+    _require_positive(args, "--workers", "--tenant-rate",
+                      "--tenant-burst", "--max-request-blocks",
+                      "--block-wall", "--default-deadline",
                       "--cache-entries")
+    if args.max_queued < 0:
+        raise ReproError(
+            f"--max-queued must be 0 or greater, got {args.max_queued}")
     if args.supervised:
         return _cmd_serve_supervised(args, out)
     from repro.serve.overload import OverloadConfig
@@ -533,7 +524,6 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         address=args.address,
         workers=args.workers,
         max_queued=args.max_queued,
-        jobs=args.jobs,
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
         tenant_max_blocks=args.tenant_max_blocks,
@@ -544,15 +534,12 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         drain_force_s=args.drain_force,
         cache_entries=args.cache_entries,
         chain=chain,
-        mem_limit_mb=args.worker_mem_mb,
-        quarantine_dir=args.quarantine_dir,
         wal_dir=args.wal_dir,
         telemetry=args.telemetry,
         overload=overload)
     server = ReproServer(config, metrics=registry, tracer=tracer)
     out(f"! serve: listening on {args.address} "
-        f"({args.workers} workers, queue {args.max_queued}, "
-        f"jobs {args.jobs})")
+        f"({args.workers} workers, queue {args.max_queued})")
     if args.telemetry:
         out(f"! serve: telemetry endpoint on {args.telemetry} "
             f"(/metrics, /healthz)")
@@ -934,11 +921,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--copies", type=int, default=4,
                        help="kernel-workload size multiplier")
     chaos.add_argument("--jobs", type=int, default=4, metavar="N",
-                       help="supervised workers (>= 2)")
+                       help="(batch) supervised workers (>= 2)")
     chaos.add_argument("--exit-rate", type=float, default=0.1,
-                       help="probability a dispatch dies via os._exit")
+                       help="(batch) probability a dispatch dies via "
+                            "os._exit")
     chaos.add_argument("--kill-rate", type=float, default=0.1,
-                       help="probability a dispatch dies via SIGKILL")
+                       help="(batch) probability a dispatch dies via "
+                            "SIGKILL")
     chaos.add_argument("--delay-rate", type=float, default=0.05,
                        help="probability a dispatch sleeps first")
     chaos.add_argument("--corrupt-rate", type=float, default=0.05,
@@ -946,26 +935,28 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--poison", type=int, default=1, metavar="N",
                        help="blocks that crash on every attempt "
                             "(must end up quarantined; 0 disables)")
-    chaos.add_argument("--quarantine-dir", default="chaos-quarantine",
-                       metavar="DIR",
-                       help="directory for quarantine reproducers")
+    chaos.add_argument("--quarantine-dir", default=None, metavar="DIR",
+                       help="write a reproducer .s file here for "
+                            "every quarantined block (default: none)")
     chaos.add_argument("--quick", action="store_true",
                        help="small workload (CI smoke mode)")
     chaos.add_argument("--alloc-rate", type=float, default=0.0,
-                       help="probability a dispatch allocates a "
-                            "memory burst first (with --worker-mem-mb "
-                            "this exercises attributed OOM crashes)")
+                       help="(batch) probability a dispatch "
+                            "allocates a memory burst first (with "
+                            "--worker-mem-mb this exercises "
+                            "attributed OOM crashes)")
     chaos.add_argument("--worker-mem-mb", type=int, default=None,
                        metavar="MB",
-                       help="per-worker address-space ceiling "
-                            "(RLIMIT_AS); allocation bursts above it "
-                            "die as attributed 'oom' crashes")
+                       help="(batch) per-worker address-space "
+                            "ceiling (RLIMIT_AS); allocation bursts "
+                            "above it die as attributed 'oom' "
+                            "crashes")
     chaos.add_argument("--serve", action="store_true",
                        help="chaos the serve daemon instead of a "
-                            "batch: worker crashes + client "
-                            "disconnects + deadline storms against a "
-                            "live server, asserting zero lost and "
-                            "zero double-scheduled blocks")
+                            "batch: client disconnects + deadline "
+                            "storms against a live server, asserting "
+                            "zero lost and zero double-scheduled "
+                            "blocks")
     chaos.add_argument("--requests", type=int, default=6,
                        help="(--serve) schedule requests to send")
     chaos.add_argument("--disconnect-rate", type=float, default=0.25,
@@ -1014,10 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admitted requests allowed to wait "
                             "(beyond this the daemon sheds load with "
                             "typed 'queue-full' rejections)")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="per-request engine parallelism (>= 2 "
-                            "runs each request on a supervised "
-                            "worker pool)")
     serve.add_argument("--tenant-rate", type=float, default=50.0,
                        help="per-tenant token-bucket refill, req/s")
     serve.add_argument("--tenant-burst", type=float, default=100.0,
@@ -1052,13 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dependence cache")
     serve.add_argument("--chain", default=None, metavar="B1,B2,...",
                        help="default builder fallback chain")
-    serve.add_argument("--worker-mem-mb", type=int, default=None,
-                       metavar="MB",
-                       help="per-worker address-space ceiling for "
-                            "jobs >= 2 (RLIMIT_AS; OOM deaths are "
-                            "attributed crashes)")
-    serve.add_argument("--quarantine-dir", default=None, metavar="DIR",
-                       help="reproducer directory for jobs >= 2")
     serve.add_argument("--wal-dir", default=None, metavar="DIR",
                        help="durability directory: every admitted "
                             "request is fsynced to a write-ahead log "

@@ -27,6 +27,7 @@ from repro.machine.units import (
 from repro.machine.reservation import ReservationTable, UsagePattern
 from repro.machine.model import MachineModel
 from repro.machine.presets import (
+    MACHINES,
     generic_risc,
     sparcstation2_like,
     rs6000_like,
@@ -42,6 +43,7 @@ __all__ = [
     "ReservationTable",
     "UsagePattern",
     "MachineModel",
+    "MACHINES",
     "generic_risc",
     "sparcstation2_like",
     "rs6000_like",

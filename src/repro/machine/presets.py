@@ -116,3 +116,13 @@ def superscalar2() -> MachineModel:
         issue_width=2,
         branch_delay_slots=1,
     )
+
+
+#: the presets by the name the CLI's ``--machine`` and the wire's
+#: ``machine`` field use
+MACHINES = {
+    "generic": generic_risc,
+    "sparc": sparcstation2_like,
+    "rs6000": rs6000_like,
+    "superscalar2": superscalar2,
+}

@@ -2,8 +2,8 @@
 
 Everything before this package is one-shot CLI; this is the serving
 layer the ROADMAP's "millions of users" claim needs, built so the
-robustness machinery (supervised pool, fallback chains, budgets,
-journal semantics, chaos) earns its keep under live traffic:
+robustness machinery (fallback chains, budgets, journal semantics,
+chaos) earns its keep under live traffic:
 
 * :mod:`repro.serve.protocol` -- the newline-delimited JSON wire
   protocol (requests, streamed per-block results, typed rejections).
@@ -15,7 +15,8 @@ journal semantics, chaos) earns its keep under live traffic:
   propagation down to :func:`~repro.runner.fallback.\
 schedule_block_resilient` wall-clock budgets, per-thread warm
   :class:`~repro.dag.builders.cache.PairwiseCache`, and shed
-  accounting (scheduled + degraded + shed + quarantined = total).
+  accounting (scheduled + degraded + quarantined + shed = total;
+  quarantined is only ever a WAL-replayed record).
 * :mod:`repro.serve.server` -- the asyncio daemon: unix-socket or
   localhost-TCP listener, health/readiness endpoints wired to pool
   and overload state, and graceful drain on SIGTERM (stop admitting,
@@ -23,9 +24,9 @@ schedule_block_resilient` wall-clock budgets, per-thread warm
 * :mod:`repro.serve.loadtest` -- the seeded ``repro loadtest`` client:
   p50/p99 latency, throughput, shed rate, and error-budget report
   through the obs metrics registry.
-* :mod:`repro.serve.chaosserve` -- ``repro chaos --serve``: worker
-  crashes, client disconnects, and deadline storms against a live
-  server, asserting zero lost and zero double-scheduled blocks; with
+* :mod:`repro.serve.chaosserve` -- ``repro chaos --serve``: client
+  disconnects and deadline storms against a live server, asserting
+  zero lost and zero double-scheduled blocks; with
   ``--kill-daemon``, seeded SIGKILLs of the daemon itself under a
   real supervisor, audited from the WAL.
 * :mod:`repro.serve.wal` -- the request write-ahead log: fsync before

@@ -2,12 +2,8 @@
 
 The batch chaos harness (:mod:`repro.runner.chaos`) proves the
 supervised pool survives worker death; this one proves the *daemon*
-survives everything around the pool at the same time:
+survives hostile clients:
 
-* **worker crashes** -- the server runs its engine with ``jobs >= 2``
-  and a seeded :class:`~repro.runner.chaos.ChaosConfig`, so blocks
-  die mid-flight inside real worker processes and are retried or
-  quarantined while results stream;
 * **client disconnects** -- a seeded fraction of clients hang up
   mid-stream; the server must shed the remainder (reason
   ``disconnect``) instead of losing it or wedging a worker slot;
@@ -39,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
-from repro.runner.chaos import ChaosConfig
 from repro.runner.fsck import fsck_paths
 from repro.runner.journal import scan_lines
 from repro.serve import protocol
@@ -66,36 +61,25 @@ class ServeChaosConfig:
     """Seeded chaos plan for the serve harness.
 
     Attributes:
-        seed: drives the worker-fault plan, the client fault plan,
-            and the workload mix.
+        seed: drives the client fault plan and the workload mix.
         requests: schedule requests to send.
-        jobs: per-request supervised workers (>= 2 so crashes land in
-            real worker processes).
         copies: kernel repetitions per request (blocks per request).
-        exit_rate / kill_rate: worker-death injection rates
-            (see :class:`~repro.runner.chaos.ChaosConfig`).
         disconnect_rate: fraction of clients that hang up after the
             first streamed frame.
         storm_rate: fraction of requests carrying a storm deadline.
-        storm_deadline_s: the too-small deadline storm requests carry.
-        mem_limit_mb: optional worker memory ceiling (pairs with
-            ``alloc_rate`` for attributed OOM chaos).
-        alloc_rate: worker allocation-burst injection rate.
+        storm_deadline_s: the too-small deadline storm requests carry;
+            shorter than one block's in-process work, so a storm
+            request sheds the rest of its blocks mid-stream.
         drain_grace_s: server drain grace for the final SIGTERM-
             equivalent drain.
     """
 
     seed: int = 0
     requests: int = 6
-    jobs: int = 2
     copies: int = 6
-    exit_rate: float = 0.12
-    kill_rate: float = 0.08
     disconnect_rate: float = 0.25
     storm_rate: float = 0.25
-    storm_deadline_s: float = 0.05
-    mem_limit_mb: int | None = None
-    alloc_rate: float = 0.0
+    storm_deadline_s: float = 0.001
     drain_grace_s: float = 10.0
 
 
@@ -255,20 +239,11 @@ def run_serve_chaos(config: ServeChaosConfig,
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="repro-serve-chaos-") \
             as tmp:
-        worker_chaos = ChaosConfig(
-            seed=config.seed,
-            exit_rate=config.exit_rate,
-            kill_rate=config.kill_rate,
-            alloc_rate=config.alloc_rate)
         serve_config = ServeConfig(
             address=f"unix:{os.path.join(tmp, 'chaos.sock')}",
             workers=2,
             max_queued=max(4, config.requests),
-            jobs=config.jobs,
-            drain_grace_s=config.drain_grace_s,
-            task_timeout=30.0,
-            mem_limit_mb=config.mem_limit_mb,
-            chaos=worker_chaos)
+            drain_grace_s=config.drain_grace_s)
         background = BackgroundServer(serve_config,
                                       metrics=metrics).start()
         try:
@@ -463,9 +438,7 @@ def run_storm_chaos(config: StormChaosConfig,
             address=f"unix:{os.path.join(tmp, 'storm.sock')}",
             workers=1,
             max_queued=2,
-            jobs=1,
             drain_grace_s=config.drain_grace_s,
-            task_timeout=30.0,
             overload=overload)
         background = BackgroundServer(serve_config,
                                       metrics=metrics).start()

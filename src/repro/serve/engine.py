@@ -40,7 +40,6 @@ from repro.errors import ReproError, RequestRejected
 from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry, record_deadline, record_shed_blocks
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runner.batch import run_batch
 from repro.runner.fallback import (
     DEFAULT_CHAIN,
     BlockOutcome,
@@ -181,14 +180,6 @@ def request_blocks(request: ScheduleRequest,
         apply_window(partition_blocks(program), window))
 
 
-class RequestCancelled(Exception):
-    """Internal: stop a request mid-stream; carries the shed reason."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 def run_request(request: ScheduleRequest,
                 machine: MachineModel,
                 blocks: list[BasicBlock],
@@ -199,12 +190,6 @@ def run_request(request: ScheduleRequest,
                 metrics: MetricsRegistry | None = None,
                 cancelled: Callable[[], str | None] | None = None,
                 clock: Callable[[], float] = time.monotonic,
-                jobs: int = 1,
-                chaos: object | None = None,
-                retry: object | None = None,
-                task_timeout: float | None = 60.0,
-                quarantine_dir: str | None = None,
-                mem_limit_mb: int | None = None,
                 completed: dict[int, dict] | None = None,
                 tracer: Tracer | None = None) -> dict:
     """Schedule one admitted request's blocks, streaming as they land.
@@ -232,22 +217,10 @@ def run_request(request: ScheduleRequest,
             (e.g. ``"disconnect"``, ``"drain"``) sheds the remainder.
         clock: injectable monotonic clock for deterministic deadline
             tests.
-        jobs: ``>= 2`` runs the request on the supervised worker pool
-            (crash isolation, retry, quarantine) via
-            :func:`~repro.runner.batch.run_batch`; ``1`` runs the
-            serial in-process loop.  A pool is built per request --
-            heavyweight, so the serial path is the default and the
-            pooled path is for big requests and the chaos harness.
-        chaos / retry / task_timeout / quarantine_dir / mem_limit_mb:
-            forwarded to :func:`~repro.runner.batch.run_batch` on the
-            pooled path (fault injection, retry policy, hang
-            detector, reproducer directory, worker memory ceiling).
         completed: already-recorded block records by block index (WAL
             replay after a daemon crash) -- those blocks are re-emitted
             verbatim instead of recomputed (exactly-once results) and
-            counted in the summary's ``replayed``.  A non-empty map
-            forces the serial path so replay interleaves with fresh
-            work in program order.
+            counted in the summary's ``replayed``.
         tracer: optional tracer; the request runs inside one
             ``request`` span carrying the wire ``id`` and client
             ``trace`` id, with the builder/attempt spans nested under
@@ -321,70 +294,37 @@ def run_request(request: ScheduleRequest,
                      trace=request.trace or "",
                      tenant=request.tenant,
                      n_blocks=len(blocks)) as span_attrs:
-        if jobs >= 2 and not completed:
-            # Pooled path: a per-request supervised pool.  run_batch
-            # consumes outcomes in program order, so a stop raised from
-            # ``on_block`` sheds exactly the untouched suffix; the pool
-            # is torn down by run_batch's own cleanup.
-            def on_block(outcome) -> None:
-                account(outcome)
-                reason = check_stop()
-                if reason is not None:
-                    raise RequestCancelled(reason)
-
+        for block in blocks:
+            recorded = completed.get(block.index)
+            if recorded is not None:
+                # WAL replay: the result already crossed a socket
+                # once; re-emit it verbatim rather than recompute
+                # (dedup).
+                n_replayed += 1
+                if recorded.get("type") == "shed":
+                    why = str(recorded.get("reason", "replay"))
+                    shed_reasons[why] = shed_reasons.get(why, 0) + 1
+                    n_done += 1
+                    emit(protocol.shed_frame(
+                        request.id, block.index, why,
+                        trace=request.trace))
+                else:
+                    account(BlockOutcome.from_record(recorded))
+                continue
+            reason = check_stop()
+            if reason is not None:
+                shed_rest(reason)
+                break
             wall = block_wall_s
             left = remaining()
             if left is not None:
                 wall = left if wall is None else min(wall, left)
-            try:
-                run_batch(blocks, machine, chain=names,
-                          budget=Budget(wall_clock=wall),
-                          verify=request.verify, jobs=jobs,
-                          metrics=metrics, on_block=on_block,
-                          tracer=tracer,
-                          chaos=chaos, retry=retry,
-                          task_timeout=task_timeout,
-                          quarantine_dir=quarantine_dir,
-                          mem_limit_mb=mem_limit_mb)
-            except RequestCancelled as exc:
-                if n_done < len(blocks):
-                    shed_rest(exc.reason)
-            else:
-                reason = check_stop()
-                if reason is not None and n_done < len(blocks):
-                    shed_rest(reason)
-        else:
-            for block in blocks:
-                recorded = completed.get(block.index)
-                if recorded is not None:
-                    # WAL replay: the result already crossed a socket
-                    # once; re-emit it verbatim rather than recompute
-                    # (dedup).
-                    n_replayed += 1
-                    if recorded.get("type") == "shed":
-                        why = str(recorded.get("reason", "replay"))
-                        shed_reasons[why] = shed_reasons.get(why, 0) + 1
-                        n_done += 1
-                        emit(protocol.shed_frame(
-                            request.id, block.index, why,
-                            trace=request.trace))
-                    else:
-                        account(BlockOutcome.from_record(recorded))
-                    continue
-                reason = check_stop()
-                if reason is not None:
-                    shed_rest(reason)
-                    break
-                wall = block_wall_s
-                left = remaining()
-                if left is not None:
-                    wall = left if wall is None else min(wall, left)
-                outcome = schedule_block_resilient(
-                    block, machine, chain,
-                    budget=Budget(wall_clock=wall),
-                    verify=request.verify, cache=cache,
-                    metrics=metrics, tracer=tracer)
-                account(outcome)
+            outcome = schedule_block_resilient(
+                block, machine, chain,
+                budget=Budget(wall_clock=wall),
+                verify=request.verify, cache=cache,
+                metrics=metrics, tracer=tracer)
+            account(outcome)
         span_attrs["scheduled"] = n_scheduled
         span_attrs["shed"] = sum(shed_reasons.values())
 

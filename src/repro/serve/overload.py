@@ -20,8 +20,8 @@ scheduler can trade quality for throughput when conditions demand it:
     :attr:`OverloadConfig.shed_cache_entries` and per-request trace
     detail is dropped.
   - **L2 brownout** -- admitted requests run the cheaper
-    :attr:`OverloadConfig.brownout_chain` with reduced per-request
-    parallelism (client chain preferences are overridden).
+    :attr:`OverloadConfig.brownout_chain` (client chain preferences
+    are overridden).
   - **L3 prioritized-shed** -- best-effort tenants are rejected with
     the typed ``overload`` reason and an honest ``retry_after_s``;
     ``priority`` tenants keep flowing.
@@ -106,7 +106,6 @@ class OverloadConfig:
         brownout_chain: builder fallback chain admitted requests run
             at L2+ (overrides both the server default and the
             client's request chain).
-        brownout_jobs: per-request parallelism cap at L2+.
         shed_cache_entries: warm-cache LRU clamp at L1+.
         priority_tenants: tenant names explicitly in the priority
             class; names starting with
@@ -123,7 +122,6 @@ class OverloadConfig:
     dwell_s: tuple[float, ...] = DEFAULT_DWELL_S
     dwell_up_s: float = 0.25
     brownout_chain: tuple[str, ...] = ("table-forward",)
-    brownout_jobs: int = 1
     shed_cache_entries: int = 64
     priority_tenants: tuple[str, ...] = ()
 

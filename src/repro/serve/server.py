@@ -51,12 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import JournalError, ReproError, RequestRejected
-from repro.machine.presets import (
-    generic_risc,
-    rs6000_like,
-    sparcstation2_like,
-    superscalar2,
-)
+from repro.machine.presets import MACHINES
 from repro.obs.expo import (
     EXPOSITION_CONTENT_TYPE,
     RollingWindow,
@@ -71,7 +66,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer
 from repro.runner.journal import read_snapshot, write_snapshot
-from repro.runner.supervisor import RetryPolicy
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import (
@@ -108,15 +102,6 @@ from repro.serve.wal import (
     WriteAheadLog,
 )
 
-#: machine-model presets the daemon will schedule for
-MACHINE_PRESETS = {
-    "generic": generic_risc,
-    "sparc": sparcstation2_like,
-    "rs6000": rs6000_like,
-    "superscalar2": superscalar2,
-}
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything one daemon instance needs to know.
@@ -127,8 +112,6 @@ class ServeConfig:
         workers: executor threads = concurrently *running* requests;
             also the admission controller's ``max_active``.
         max_queued: admitted requests allowed to wait for a thread.
-        jobs: per-request engine parallelism (``>= 2`` builds a
-            supervised pool per request; 1 = serial in-process).
         tenant_rate / tenant_burst: per-tenant token bucket.
         tenant_max_blocks: per-tenant cumulative block budget
             (None = unlimited).
@@ -147,11 +130,6 @@ class ServeConfig:
             non-zero.
         cache_entries: LRU cap for each warm per-thread cache.
         chain: default builder fallback chain (request override wins).
-        mem_limit_mb / task_timeout / quarantine_dir: forwarded to
-            the pooled engine path (``jobs >= 2``).
-        chaos: seeded :class:`~repro.runner.chaos.ChaosConfig` fault
-            injection for the pooled path -- the ``chaos --serve``
-            harness's hook; never set in production.
         wal_dir: directory for the request WAL and warm-state
             snapshots.  When set, every acceptance / block result /
             terminal summary is fsynced *before* its frame crosses
@@ -179,7 +157,6 @@ class ServeConfig:
     address: str
     workers: int = 2
     max_queued: int = 16
-    jobs: int = 1
     tenant_rate: float = 50.0
     tenant_burst: float = 100.0
     tenant_max_blocks: int | None = None
@@ -190,10 +167,6 @@ class ServeConfig:
     drain_force_s: float = 10.0
     cache_entries: int = 512
     chain: tuple[str, ...] | None = None
-    mem_limit_mb: int | None = None
-    task_timeout: float | None = 60.0
-    quarantine_dir: str | None = None
-    chaos: object | None = None
     wal_dir: str | None = None
     snapshot_every: int = 8
     dedup_entries: int = 1024
@@ -317,7 +290,6 @@ class ReproServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=config.workers,
             thread_name_prefix="repro-serve")
-        self._retry = RetryPolicy(base_delay=0.01, max_delay=0.2)
         self._active: set[_Active] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._drain_forced = False
@@ -597,11 +569,9 @@ class ReproServer:
         # ladder may move mid-request; a request runs at one level):
         # L1+ drops optional work (trace detail, warm-cache head
         # room), L2+ swaps in the cheap brownout chain -- overriding
-        # even the client's chain preference -- and caps per-request
-        # parallelism.
+        # even the client's chain preference.
         level = self.overload_level()
         chain = cfg.chain
-        jobs = cfg.jobs
         cache_entries = cfg.cache_entries
         degraded_trace = False
         if level >= L_SHED_OPTIONAL:
@@ -610,7 +580,6 @@ class ReproServer:
             degraded_trace = True
         if level >= L_BROWNOUT:
             chain = cfg.overload.brownout_chain
-            jobs = min(jobs, cfg.overload.brownout_jobs)
             if request.chain is not None:
                 request = dataclasses.replace(request, chain=None)
         # Each request records spans into a private tracer (the engine
@@ -628,12 +597,6 @@ class ReproServer:
                 metrics=self.metrics,
                 cancelled=lambda: active.cancel_reason
                 or (SHED_DRAIN if self._drain_forced else None),
-                jobs=jobs,
-                chaos=cfg.chaos,
-                retry=self._retry,
-                task_timeout=cfg.task_timeout,
-                quarantine_dir=cfg.quarantine_dir,
-                mem_limit_mb=cfg.mem_limit_mb,
                 completed=completed,
                 tracer=private)
         finally:
@@ -682,11 +645,11 @@ class ReproServer:
                                lock: asyncio.Lock) -> None:
         loop = asyncio.get_running_loop()
         request = ScheduleRequest.from_message(message)
-        if request.machine not in MACHINE_PRESETS:
+        if request.machine not in MACHINES:
             await self._send(writer, lock, protocol.error_frame(
                 request.id, "unknown-machine",
                 f"unknown machine {request.machine!r}; known: "
-                f"{sorted(MACHINE_PRESETS)}", trace=request.trace))
+                f"{sorted(MACHINES)}", trace=request.trace))
             return
         key = request.key or f"auto-{uuid.uuid4().hex}"
         finished = self._finished.get(key)
@@ -816,7 +779,7 @@ class ReproServer:
                 task.add_done_callback(on_sent)
             loop.call_soon_threadsafe(deliver)
 
-        machine = MACHINE_PRESETS[request.machine]()
+        machine = MACHINES[request.machine]()
         status = "ok"
         accounted = False
 
@@ -921,7 +884,7 @@ class ReproServer:
                     None, self.wal.log_finished, key, FINISHED_ERROR,
                     {"error": f"unreadable recovered request: {exc}"})
                 continue
-            if request.machine not in MACHINE_PRESETS:
+            if request.machine not in MACHINES:
                 await loop.run_in_executor(
                     None, self.wal.log_finished, key, FINISHED_ERROR,
                     {"error": f"unknown machine {request.machine!r}"})

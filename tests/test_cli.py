@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import ALGORITHMS, BUILDERS, MACHINES, main
+from repro.cli import ALGORITHMS, BUILDERS, MACHINES, build_parser, main
 from repro.workloads import kernel_source
 
 
@@ -126,6 +126,16 @@ class TestParser:
     def test_removed_measurement_commands_are_unknown(self, command):
         with pytest.raises(SystemExit) as exc:
             run_cli([command])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "2"), ("--worker-mem-mb", "64"),
+        ("--quarantine-dir", "d")])
+    def test_removed_serve_pool_flags_are_unknown(self, flag, value):
+        # Parse only: a parser that still took the flag would start a
+        # daemon here instead of failing.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
         assert exc.value.code == 2
 
     def test_missing_file_raises(self):
@@ -277,6 +287,28 @@ class TestResilientScheduleFlags:
                                f"than 0")
         assert "cycles" not in text
         assert not journal.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--chain", "n2"], ["--block-timeout", "5"], ["--max-work", "1"],
+        ["--verify"], ["--jobs", "3"], ["--retries", "1"],
+        ["--quarantine-dir", "q"], ["--worker-mem-mb", "64"],
+        ["--journal", "run.jsonl"], ["--resume"]],
+        ids=lambda flags: flags[0])
+    def test_section6_only_flag_is_2_under_other_algorithm(
+            self, tmp_path, flags):
+        # The input does not exist: the refusal must come before it
+        # is read.
+        status, text = run_cli(["schedule", str(tmp_path / "none.s"),
+                                "--algorithm", "warren"] + flags)
+        assert status == 2
+        assert text == (f"repro: error: {flags[0]} requires the "
+                        f"section 6 pipeline (--algorithm section6)")
+
+    def test_jobs_1_is_allowed_under_other_algorithm(self, asm_file):
+        status, text = run_cli(["schedule", asm_file,
+                                "--algorithm", "warren", "--jobs", "1"])
+        assert status == 0
+        assert "total:" in text
 
     def test_verify_flag(self, asm_file):
         status, text = run_cli(["schedule", asm_file, "--verify"])

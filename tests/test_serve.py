@@ -503,7 +503,10 @@ class TestServer:
     @pytest.mark.parametrize("flag,value", [
         ("--cache-entries", "0"), ("--cache-entries", "-3"),
         ("--block-wall", "0"), ("--block-wall", "-1"),
-        ("--default-deadline", "0"), ("--default-deadline", "-2.5")])
+        ("--default-deadline", "0"), ("--default-deadline", "-2.5"),
+        ("--workers", "0"), ("--tenant-rate", "0"),
+        ("--tenant-burst", "0"), ("--tenant-burst", "-1"),
+        ("--max-request-blocks", "0"), ("--max-queued", "-1")])
     def test_out_of_range_budget_is_2_before_startup(
             self, tmp_path, monkeypatch, flag, value):
         from repro.cli import main
@@ -518,8 +521,26 @@ class TestServer:
                        flag, value], out=lines.append)
         assert status == 2
         assert len(lines) == 1
-        assert lines[0].startswith(
-            f"repro: error: {flag} must be greater than 0")
+        bound = "0 or greater" if flag == "--max-queued" \
+            else "greater than 0"
+        assert lines[0].startswith(f"repro: error: {flag} must be {bound}")
+
+    def test_out_of_range_flag_is_2_before_supervised_spawn(
+            self, tmp_path, monkeypatch):
+        from repro.cli import main
+        import repro.serve.supervise as supervise_mod
+
+        def no_child(*args, **kwargs):
+            raise AssertionError("child spawned despite a bad flag")
+
+        monkeypatch.setattr(supervise_mod, "spawn_serve_child", no_child)
+        lines = []
+        status = main(["serve", "--address", f"unix:{tmp_path}/b.sock",
+                       "--supervised", "--workers", "0"],
+                      out=lines.append)
+        assert status == 2
+        assert lines == ["repro: error: --workers must be greater than "
+                         "0, got 0"]
 
     def test_non_loopback_bind_is_refused(self):
         config = ServeConfig(address="0.0.0.0:0")
@@ -633,9 +654,8 @@ class TestServeChaos:
             run_serve_chaos,
         )
         report = run_serve_chaos(ServeChaosConfig(
-            seed=2, requests=4, copies=4, exit_rate=0.25,
-            kill_rate=0.1, disconnect_rate=0.4, storm_rate=0.4,
-            storm_deadline_s=0.02))
+            seed=2, requests=4, copies=4, disconnect_rate=0.4,
+            storm_rate=0.4, storm_deadline_s=0.02))
         assert report.ok, report.to_dict()
         assert report.lost_blocks == 0
         assert report.duplicate_blocks == 0

@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ProtocolError
 from repro.machine.presets import generic_risc
 from repro.obs import Tracer, span_tree
-from repro.runner.chaos import ChaosConfig, RetryPolicy
 from repro.runner.fallback import BlockOutcome
 from repro.serve import protocol
 from repro.serve.engine import request_blocks, run_request
@@ -112,23 +111,6 @@ class TestEngineTrace:
             assert "trace" not in frame
             if frame["type"] == "block":
                 assert "trace" not in frame["block"]
-
-    def test_quarantined_block_keeps_trace(self):
-        # A poisoned block crashes every attempt and is quarantined;
-        # its block frame must still carry the request's trace id.
-        request = ScheduleRequest.from_message(
-            _message(trace="quarantine-t"))
-        frames, summary = self.run(
-            request, jobs=2,
-            chaos=ChaosConfig(seed=4, poison=frozenset({0})),
-            retry=RetryPolicy(max_retries=1, base_delay=0.01))
-        assert summary["quarantined"] == 1
-        quarantined = [f for f in frames if f["type"] == "block"
-                       and f["block"].get("type") == "quarantined"]
-        assert quarantined
-        for frame in quarantined:
-            assert frame["trace"] == "quarantine-t"
-            assert frame["block"]["trace"] == "quarantine-t"
 
     def test_request_span_carries_trace(self):
         tracer = Tracer()
